@@ -74,18 +74,26 @@ let protocol ?params ~n () : state Engine.Protocol.t =
         | Settled sa, Settled sb when sa.rank = sb.rank ->
             (* Rank collision (lines 5-8): both trigger a global reset. *)
             (trigger (), trigger ())
+        | Settled _, Settled _ ->
+            (* Distinct ranks: a null interaction. Returning the inputs
+               themselves lets engines skip both sides. *)
+            (a, b)
         | _ -> begin
-            let ca, cb =
+            let ca', cb' =
               match recruit ca cb with
-              | Some (ca, cb) -> (ca, cb)
+              | Some (ca', cb') -> (ca', cb')
               | None -> ( match recruit cb ca with
-                  | Some (cb, ca) -> (ca, cb)
+                  | Some (cb', ca') -> (ca', cb')
                   | None -> (ca, cb) )
             in
-            let ca, alarm_a = countdown ca in
-            let cb, alarm_b = countdown cb in
+            let ca', alarm_a = countdown ca' in
+            let cb', alarm_b = countdown cb' in
             if alarm_a || alarm_b then (trigger (), trigger ())
-            else (Reset.Computing ca, Reset.Computing cb)
+            else
+              (* A side nothing happened to (a full Settled parent) is
+                 returned as the input itself. *)
+              ( (if ca' == ca then a else Reset.Computing ca'),
+                if cb' == cb then b else Reset.Computing cb' )
           end
       end
   in

@@ -81,7 +81,10 @@ module type INSTANCE = sig
   val stats : unit -> (string * float) list
   (** Engine-internal counters, scraped by the telemetry layer into its
       metrics registry. Both engines report [interactions], [events] and
-      [monitor_updates]; the count engine adds [null_skipped],
+      [monitor_updates] (the {!Monitor.add}/{!Monitor.remove} operations
+      actually performed: the agent engine skips a side its transition
+      returns physically unchanged, so this is below 4 per interaction);
+      the count engine adds [null_skipped],
       [closure_size] (interned (state, class) cells), [pairs_probed],
       [pairs_cached], [classes_live], [productive_pairs] and
       [productive_weight]. All are O(1) reads of counters the engines

@@ -40,6 +40,9 @@ val distinct_singleton_ranks : 'a t -> int
 (** Number of ranks in [1..n] held by exactly one agent. *)
 
 val updates : 'a t -> int
-(** Re-check counter: total {!add}/{!remove} operations processed
-    (an {!update} counts as two). Scraped by the telemetry layer via
+(** Re-check counter: total {!add}/{!remove} operations actually
+    performed (an {!update} counts as two). Callers skip updates that
+    cannot move the counts — [Sim.step] skips a side its transition
+    returns physically unchanged — so an agent-engine run reports fewer
+    than 4 per interaction. Scraped by the telemetry layer via
     [Exec.stats]; a plain increment, so it costs nothing to keep. *)

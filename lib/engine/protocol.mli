@@ -24,7 +24,11 @@ type 'a t = {
   n : int;  (** population size the protocol is compiled for *)
   transition : Prng.t -> 'a -> 'a -> 'a * 'a;
       (** [transition rng initiator responder] returns the new
-          (initiator, responder) states. *)
+          (initiator, responder) states. Returning an input physically
+          unchanged ([==]) on a side nothing happened to lets engines skip
+          that side: [Sim] leaves its array slot and monitor counts alone,
+          and a compiled kernel keeps its code. Returning a fresh but
+          structurally equal value is still correct, only slower. *)
   deterministic : bool;  (** [true] iff [transition] never draws randomness *)
   equal : 'a -> 'a -> bool;  (** structural state equality *)
   pp : Format.formatter -> 'a -> unit;  (** state printer for traces *)

@@ -26,7 +26,10 @@ val protocol : 'a t -> 'a Protocol.t
 val n : 'a t -> int
 
 val step : 'a t -> unit
-(** Execute one interaction. *)
+(** Execute one interaction. The default scheduler draws the pair exactly
+    as {!Prng.distinct_pair} does, without allocating. A side the
+    transition returns physically unchanged is neither written back nor
+    re-monitored (see {!Protocol.t.transition}). *)
 
 val run : 'a t -> int -> unit
 (** [run sim k] executes [k] interactions. *)
@@ -47,7 +50,9 @@ val leader_count : 'a t -> int
 val ranked_agents : 'a t -> int
 
 val monitor_updates : 'a t -> int
-(** Correctness-monitor re-checks so far (see {!Monitor.updates}). *)
+(** Correctness-monitor operations actually performed so far (see
+    {!Monitor.updates}): the initial scan of [n] agents plus two per side
+    that changed, so at most [n + 4 * interactions]. *)
 
 val state : 'a t -> int -> 'a
 (** [state sim i] is agent [i]'s current state. *)
@@ -71,4 +76,5 @@ val snapshot : 'a t -> 'a array
 val fold_states : 'a t -> init:'b -> f:('b -> 'a -> 'b) -> 'b
 
 val last_pair : 'a t -> (int * int) option
-(** The (initiator, responder) indices of the most recent interaction. *)
+(** The (initiator, responder) indices of the most recent interaction;
+    [None] before the first. *)

@@ -27,10 +27,14 @@ let of_ir_timed ~t0 (ir : 'a Repr.t) =
     Array.init m (fun c -> source.Engine.Protocol.is_leader (Repr.decode ir c))
   in
   let memo_hits = ref 0 and dynamic_steps = ref 0 in
+  (* A side the source transition returns physically unchanged keeps its
+     code: [decode] yields the interned canonical state, whose code is the
+     one it was decoded from, so [encode] would only find it again. *)
   let dynamic rng ci cj =
     incr dynamic_steps;
-    let a', b' = source.Engine.Protocol.transition rng (Repr.decode ir ci) (Repr.decode ir cj) in
-    (Repr.encode ir a', Repr.encode ir b')
+    let a = Repr.decode ir ci and b = Repr.decode ir cj in
+    let a', b' = source.Engine.Protocol.transition rng a b in
+    ((if a' == a then ci else Repr.encode ir a'), if b' == b then cj else Repr.encode ir b')
   in
   let transition =
     match ir.Repr.table with

@@ -9,7 +9,9 @@
     table with two array reads and no allocation; {e dynamic} pairs (and
     everything, when memoization was skipped) decode, run the source
     transition with the {e real} rng — so randomness consumption is
-    identical to the interpreter's — and re-encode. Observations
+    identical to the interpreter's — and re-encode, except that a side the
+    source returns physically unchanged keeps its input code (the decoded
+    state is the interned representative of that very code). Observations
     ([rank], [is_leader]) are precomputed per-code arrays, so the
     compiled protocol satisfies {!Engine.Protocol.validate} exactly when
     the source does. *)

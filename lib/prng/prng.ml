@@ -2,6 +2,13 @@
    implementation), ported to OCaml Int64. State must never be all zero;
    splitmix64 seeding guarantees that.
 
+   The four state words live in a 32-byte [Bytes.t], read and written with
+   [Bytes.get/set_int64_le]. Inside one function those accesses compile to
+   unboxed loads and stores, so a draw that returns an OCaml [int]
+   ([next62] and everything built on it: [int], [draw], [bool], [bits])
+   allocates nothing. [distinct_pair] allocates only its result tuple;
+   [bits64] and [float] box their result.
+
    A generator can alternatively run in *scripted* mode: every bounded
    primitive draw ([int], [bool], [bits], ...) is then served from a
    prescribed list of choices instead of the xoshiro stream, and the
@@ -17,14 +24,11 @@ type script = {
 }
 
 type t = {
-  mutable s0 : int64;
-  mutable s1 : int64;
-  mutable s2 : int64;
-  mutable s3 : int64;
+  st : Bytes.t;  (* s0, s1, s2, s3 as little-endian words at offsets 0, 8, 16, 24 *)
   script : script option;
 }
 
-let rotl x k = Int64.logor (Int64.shift_left x k) (Int64.shift_right_logical x (64 - k))
+let[@inline] rotl x k = Int64.logor (Int64.shift_left x k) (Int64.shift_right_logical x (64 - k))
 
 (* splitmix64: used only to expand a seed into four state words. *)
 let splitmix_next state =
@@ -40,7 +44,12 @@ let of_seed64 seed64 =
   let s1 = splitmix_next state in
   let s2 = splitmix_next state in
   let s3 = splitmix_next state in
-  { s0; s1; s2; s3; script = None }
+  let st = Bytes.create 32 in
+  Bytes.set_int64_le st 0 s0;
+  Bytes.set_int64_le st 8 s1;
+  Bytes.set_int64_le st 16 s2;
+  Bytes.set_int64_le st 24 s3;
+  { st; script = None }
 
 let create ~seed = of_seed64 (Int64.of_int seed)
 
@@ -75,18 +84,34 @@ let copy g =
     | None -> None
     | Some s -> Some { pending = s.pending; trace = s.trace }
   in
-  { s0 = g.s0; s1 = g.s1; s2 = g.s2; s3 = g.s3; script }
+  { st = Bytes.copy g.st; script }
 
-let raw_bits64 g =
-  let result = Int64.mul (rotl (Int64.mul g.s1 5L) 7) 9L in
-  let t = Int64.shift_left g.s1 17 in
-  g.s2 <- Int64.logxor g.s2 g.s0;
-  g.s3 <- Int64.logxor g.s3 g.s1;
-  g.s1 <- Int64.logxor g.s1 g.s2;
-  g.s0 <- Int64.logxor g.s0 g.s3;
-  g.s2 <- Int64.logxor g.s2 t;
-  g.s3 <- rotl g.s3 45;
+(* One xoshiro256** step. Inlined into every caller, so the state words
+   and the result stay unboxed unless the caller itself returns an
+   [int64]. *)
+let[@inline] raw_bits64 g =
+  let st = g.st in
+  let s0 = Bytes.get_int64_le st 0 in
+  let s1 = Bytes.get_int64_le st 8 in
+  let s2 = Bytes.get_int64_le st 16 in
+  let s3 = Bytes.get_int64_le st 24 in
+  let result = Int64.mul (rotl (Int64.mul s1 5L) 7) 9L in
+  let t = Int64.shift_left s1 17 in
+  let s2 = Int64.logxor s2 s0 in
+  let s3 = Int64.logxor s3 s1 in
+  let s1 = Int64.logxor s1 s2 in
+  let s0 = Int64.logxor s0 s3 in
+  let s2 = Int64.logxor s2 t in
+  let s3 = rotl s3 45 in
+  Bytes.set_int64_le st 0 s0;
+  Bytes.set_int64_le st 8 s1;
+  Bytes.set_int64_le st 16 s2;
+  Bytes.set_int64_le st 24 s3;
   result
+
+(* The low 62 bits of the next output: uniform on [0, 2^62), the
+   non-negative OCaml [int] range. *)
+let next62 g = Int64.to_int (raw_bits64 g) land max_int
 
 let bits64 g =
   match g.script with
@@ -97,31 +122,44 @@ let split g = of_seed64 (bits64 g)
 
 let split_many g k = Array.init k (fun _ -> split g)
 
-(* Uniform int in [0, bound) by rejection on the top 62 bits (non-negative
-   OCaml int range). *)
+(* Uniform int in [0, bound) by rejection on the low 62 bits: [limit] is
+   the largest multiple of [bound] up to [max_int], and draws at or above
+   it are rejected to avoid modulo bias. *)
+let rec below_limit g bound limit =
+  let r = next62 g in
+  if r < limit then r mod bound else below_limit g bound limit
+
+let rejection_limit bound = max_int / bound * bound
+
+type below = { bound : int; limit : int }
+
+let below bound =
+  if bound <= 0 then invalid_arg (Printf.sprintf "Prng.below: bound %d is not positive" bound);
+  { bound; limit = rejection_limit bound }
+
+let draw g b =
+  match g.script with
+  | Some s -> script_draw s b.bound
+  | None -> below_limit g b.bound b.limit
+
 let int g bound =
-  assert (bound > 0);
+  if bound <= 0 then invalid_arg (Printf.sprintf "Prng.int: bound %d is not positive" bound);
   match g.script with
   | Some s -> script_draw s bound
-  | None ->
-      let mask = Int64.shift_right_logical Int64.minus_one 2 in
-      (* 62 bits *)
-      let rec loop () =
-        let r = Int64.to_int (Int64.logand (raw_bits64 g) mask) in
-        (* r is uniform on [0, 2^62). Reject the tail to avoid modulo bias. *)
-        let limit = (max_int / bound) * bound in
-        if r < limit then r mod bound else loop ()
-      in
-      loop ()
+  | None -> below_limit g bound (rejection_limit bound)
 
 let int_in g lo hi =
-  assert (lo <= hi);
-  lo + int g (hi - lo + 1)
+  if lo > hi then invalid_arg (Printf.sprintf "Prng.int_in: empty range [%d, %d]" lo hi);
+  let size = hi - lo + 1 in
+  (* With lo <= hi the size is positive unless it wrapped past max_int. *)
+  if size <= 0 then
+    invalid_arg (Printf.sprintf "Prng.int_in: range [%d, %d] has more than max_int values" lo hi);
+  lo + int g size
 
 let bool g =
   match g.script with
   | Some s -> script_draw s 2 = 1
-  | None -> Int64.compare (Int64.logand (raw_bits64 g) 1L) 0L <> 0
+  | None -> next62 g land 1 = 1
 
 let float g =
   (* 53 random bits into [0,1). *)
@@ -131,7 +169,7 @@ let float g =
 let bernoulli g ~p = float g < p
 
 let distinct_pair g n =
-  assert (n >= 2);
+  if n < 2 then invalid_arg (Printf.sprintf "Prng.distinct_pair: population %d is below 2" n);
   let i = int g n in
   let j = int g (n - 1) in
   let j = if j >= i then j + 1 else j in
@@ -151,7 +189,7 @@ let permutation g n =
   a
 
 let pick g a =
-  assert (Array.length a > 0);
+  if Array.length a = 0 then invalid_arg "Prng.pick: empty array";
   a.(int g (Array.length a))
 
 (* Cap on enumerable bit widths in scripted mode: the choice space of a
@@ -159,7 +197,8 @@ let pick g a =
 let max_scripted_width = 20
 
 let bits g ~width =
-  assert (width >= 0 && width <= 62);
+  if width < 0 || width > 62 then
+    invalid_arg (Printf.sprintf "Prng.bits: width %d outside [0, 62]" width);
   if width = 0 then 0
   else
     match g.script with

@@ -45,11 +45,25 @@ val bits64 : t -> int64
 (** Next raw 64-bit output. *)
 
 val int : t -> int -> int
-(** [int g bound] is uniform on [0, bound). Requires [bound > 0]. Unbiased
-    (rejection sampling). *)
+(** [int g bound] is uniform on [0, bound). Unbiased (rejection sampling);
+    allocates nothing. Raises [Invalid_argument] when [bound <= 0]. *)
+
+type below
+(** A bound for {!int} with its rejection limit precomputed, for callers
+    that draw many times below the same bound. *)
+
+val below : int -> below
+(** [below bound] prepares [bound]. Raises [Invalid_argument] when
+    [bound <= 0]. *)
+
+val draw : t -> below -> int
+(** [draw g (below bound)] is [int g bound]: the same value, consuming the
+    same stream (scripted mode included), without the per-draw division. *)
 
 val int_in : t -> int -> int -> int
-(** [int_in g lo hi] is uniform on [lo, hi] inclusive. Requires [lo <= hi]. *)
+(** [int_in g lo hi] is uniform on [lo, hi] inclusive. Raises
+    [Invalid_argument] when [lo > hi] or when the range holds more than
+    [max_int] values. *)
 
 val bool : t -> bool
 (** Fair coin. *)
@@ -62,7 +76,9 @@ val bernoulli : t -> p:float -> bool
 
 val distinct_pair : t -> int -> int * int
 (** [distinct_pair g n] is an ordered pair [(i, j)] with [i <> j], uniform
-    over the [n * (n-1)] ordered pairs of [0..n-1]. Requires [n >= 2]. *)
+    over the [n * (n-1)] ordered pairs of [0..n-1]: [i = int g n], then
+    [int g (n - 1)] shifted past [i]. Raises [Invalid_argument] when
+    [n < 2]. *)
 
 val shuffle : t -> 'a array -> unit
 (** In-place Fisher–Yates shuffle. *)
@@ -71,9 +87,11 @@ val permutation : t -> int -> int array
 (** [permutation g n] is a uniform random permutation of [0..n-1]. *)
 
 val pick : t -> 'a array -> 'a
-(** Uniform element of a non-empty array. *)
+(** Uniform element of a non-empty array. Raises [Invalid_argument] on an
+    empty array. *)
 
 val bits : t -> width:int -> int
 (** [bits g ~width] is a uniform [width]-bit non-negative integer,
-    [0 <= width <= 62]. In scripted mode the width is additionally capped
-    at 20 bits (the choice space is enumerated exhaustively). *)
+    [0 <= width <= 62] (otherwise [Invalid_argument]). In scripted mode
+    the width is additionally capped at 20 bits (the choice space is
+    enumerated exhaustively). *)

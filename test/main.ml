@@ -2,6 +2,7 @@ let () =
   Alcotest.run "repro"
     [
       ("prng", Test_prng.suite);
+      ("hotpath", Test_hotpath.suite);
       ("stats", Test_stats.suite);
       ("engine", Test_engine.suite);
       ("exec", Test_exec.suite);
