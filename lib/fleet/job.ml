@@ -1,26 +1,4 @@
-type engine = Agent | Count
-type kernel = Interp | Compiled
-
-type t = {
-  id : string;
-  protocol : string;
-  n : int;
-  h : int;
-  seed : int;
-  scenario : string;
-  engine : engine;
-  kernel : kernel;
-  trials : int;
-  chaos : string option;
-  horizon : float option;
-  sla : float option;
-  deadline : int option;
-  retries : int;
-  group : string;
-}
-
-let engine_to_string = function Agent -> "agent" | Count -> "count"
-let kernel_to_string = function Interp -> "interp" | Compiled -> "compiled"
+type t = { id : string; deadline : int option; retries : int; group : string; spec : Spec.t }
 
 let id_ok id =
   id <> ""
@@ -33,64 +11,42 @@ let id_ok id =
          || c = '_' || c = '-' || c = '.')
        id
 
-let protocols = [ "silent"; "optimal"; "sublinear" ]
-
 (* All structural validation lives here, at admission time, so a worker
-   never has to [exit 2] mid-fleet the way the single-run CLI does. *)
+   never meets a spec it cannot run. *)
 let validate t =
   if not (id_ok t.id) then
     Error
       (Printf.sprintf "job id %S must be 1-64 chars of [A-Za-z0-9_.-] (it names output files)"
          t.id)
-  else if not (List.mem t.protocol protocols) then
-    Error
-      (Printf.sprintf "job %s: unknown protocol %S (silent | optimal | sublinear)" t.id
-         t.protocol)
-  else if t.n < 2 then Error (Printf.sprintf "job %s: n must be >= 2 (got %d)" t.id t.n)
-  else if t.h < 0 then Error (Printf.sprintf "job %s: h must be >= 0 (got %d)" t.id t.h)
-  else if t.trials < 1 then
-    Error (Printf.sprintf "job %s: trials must be >= 1 (got %d)" t.id t.trials)
   else if t.retries < 0 then
     Error (Printf.sprintf "job %s: retries must be >= 0 (got %d)" t.id t.retries)
-  else if t.engine = Count && t.protocol = "sublinear" then
-    Error (Printf.sprintf "job %s: the count engine requires a deterministic protocol" t.id)
-  else if t.kernel = Compiled && t.protocol = "sublinear" then
-    Error (Printf.sprintf "job %s: the sublinear protocol has no compiled kernel" t.id)
   else if (match t.deadline with Some d -> d < 1 | None -> false) then
     Error (Printf.sprintf "job %s: deadline must be >= 1 interaction" t.id)
-  else if (match t.horizon with Some x -> x <= 0.0 | None -> false) then
-    Error (Printf.sprintf "job %s: horizon must be > 0 time units" t.id)
-  else if (match t.sla with Some x -> x <= 0.0 | None -> false) then
-    Error (Printf.sprintf "job %s: sla must be > 0 time units" t.id)
-  else if (t.horizon <> None || t.sla <> None) && t.chaos = None then
-    Error (Printf.sprintf "job %s: horizon/sla require a chaos spec" t.id)
   else
-    match t.chaos with
-    | None -> Ok t
-    | Some spec -> (
-        match Chaos.Spec.parse spec with
-        | Ok _ -> Ok t
-        | Error msg -> Error (Printf.sprintf "job %s: chaos: %s" t.id msg))
+    match Spec.validate t.spec with
+    | Ok _ -> Ok t
+    | Error msg -> Error (Printf.sprintf "job %s: %s" t.id msg)
 
-let make ~id ~protocol ~n ?(h = 2) ~seed ?(scenario = "uniform") ?(engine = Agent)
-    ?(kernel = Interp) ?(trials = 1) ?chaos ?horizon ?sla ?deadline ?(retries = 2) ?group () =
+let make ~id ~protocol ~n ?(h = 2) ~seed ?(scenario = "uniform") ?(engine = Engine.Exec.Agent)
+    ?(compiled = false) ?(trials = 1) ?chaos ?horizon ?sla ?deadline ?(retries = 2) ?group () =
   validate
     {
       id;
-      protocol;
-      n;
-      h;
-      seed;
-      scenario;
-      engine;
-      kernel;
-      trials;
-      chaos;
-      horizon;
-      sla;
       deadline;
       retries;
-      group = (match group with Some g -> g | None -> protocol);
+      group = Option.value group ~default:protocol;
+      spec =
+        {
+          (Spec.default ~protocol ~n ~seed) with
+          Spec.h;
+          scenario;
+          engine;
+          compiled;
+          trials;
+          chaos;
+          horizon;
+          sla;
+        };
     }
 
 let field name json = Telemetry.Json.member name json
@@ -130,19 +86,11 @@ let of_json json =
       let* h = int_field ~default:2 "h" json in
       let* seed = int_field ~default:1 "seed" json in
       let* scenario = string_field ~default:"uniform" "scenario" json in
-      let* engine_s = string_field ~default:"agent" "engine" json in
       let* engine =
-        match engine_s with
-        | "agent" -> Ok Agent
-        | "count" -> Ok Count
-        | other -> Error (Printf.sprintf "field \"engine\": %S is not agent | count" other)
+        Result.bind (string_field ~default:"agent" "engine" json) Spec.engine_of_string
       in
-      let* kernel_s = string_field ~default:"interp" "kernel" json in
-      let* kernel =
-        match kernel_s with
-        | "interp" -> Ok Interp
-        | "compiled" -> Ok Compiled
-        | other -> Error (Printf.sprintf "field \"kernel\": %S is not interp | compiled" other)
+      let* compiled =
+        Result.bind (string_field ~default:"interp" "kernel" json) Spec.compiled_of_string
       in
       let* trials = int_field ~default:1 "trials" json in
       let* chaos = opt_field "chaos" Telemetry.Json.to_string_opt json in
@@ -151,24 +99,8 @@ let of_json json =
       let* deadline = opt_field "deadline" Telemetry.Json.to_int json in
       let* retries = int_field ~default:2 "retries" json in
       let* group = string_field ~default:protocol "group" json in
-      validate
-        {
-          id;
-          protocol;
-          n;
-          h;
-          seed;
-          scenario;
-          engine;
-          kernel;
-          trials;
-          chaos;
-          horizon;
-          sla;
-          deadline;
-          retries;
-          group;
-        }
+      make ~id ~protocol ~n ~h ~seed ~scenario ~engine ~compiled ~trials ?chaos ?horizon ?sla
+        ?deadline ~retries ~group ()
   | _ -> Error "job spec must be a JSON object"
 
 let of_line line =
@@ -177,22 +109,24 @@ let of_line line =
   | Error msg -> Error (Printf.sprintf "bad JSON: %s" msg)
 
 let to_json t =
-  let opt f = function Some v -> f v | None -> Telemetry.Json.Null in
-  Telemetry.Json.Obj
+  let module J = Telemetry.Json in
+  let s = t.spec in
+  let opt f = function Some v -> f v | None -> J.Null in
+  J.Obj
     [
-      ("id", Telemetry.Json.String t.id);
-      ("protocol", Telemetry.Json.String t.protocol);
-      ("n", Telemetry.Json.Int t.n);
-      ("h", Telemetry.Json.Int t.h);
-      ("seed", Telemetry.Json.Int t.seed);
-      ("scenario", Telemetry.Json.String t.scenario);
-      ("engine", Telemetry.Json.String (engine_to_string t.engine));
-      ("kernel", Telemetry.Json.String (kernel_to_string t.kernel));
-      ("trials", Telemetry.Json.Int t.trials);
-      ("chaos", opt (fun s -> Telemetry.Json.String s) t.chaos);
-      ("horizon", opt (fun x -> Telemetry.Json.Float x) t.horizon);
-      ("sla", opt (fun x -> Telemetry.Json.Float x) t.sla);
-      ("deadline", opt (fun d -> Telemetry.Json.Int d) t.deadline);
-      ("retries", Telemetry.Json.Int t.retries);
-      ("group", Telemetry.Json.String t.group);
+      ("id", J.String t.id);
+      ("protocol", J.String s.Spec.protocol);
+      ("n", J.Int s.Spec.n);
+      ("h", J.Int s.Spec.h);
+      ("seed", J.Int s.Spec.seed);
+      ("scenario", J.String s.Spec.scenario);
+      ("engine", J.String (Engine.Exec.kind_to_string s.Spec.engine));
+      ("kernel", J.String (Spec.kernel_name s));
+      ("trials", J.Int s.Spec.trials);
+      ("chaos", opt (fun c -> J.String c) s.Spec.chaos);
+      ("horizon", opt (fun x -> J.Float x) s.Spec.horizon);
+      ("sla", opt (fun x -> J.Float x) s.Spec.sla);
+      ("deadline", opt (fun d -> J.Int d) t.deadline);
+      ("retries", J.Int t.retries);
+      ("group", J.String t.group);
     ]

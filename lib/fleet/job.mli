@@ -1,43 +1,36 @@
 (** Fleet job specifications.
 
-    One job = one batch of simulation trials (to-stability, or a chaos
-    soak when [chaos] is set) under one protocol configuration, executed
-    by a single supervised worker task. Jobs arrive as JSONL — one JSON
+    One job = one {!Spec} (a batch of simulation trials, to stability or
+    a chaos soak) plus the fleet's scheduling fields, executed by a
+    single supervised worker task. Jobs arrive as JSONL — one JSON
     object per line in a job file or on the control socket — and are
     validated {e at admission}: a malformed spec is shed with a message,
     it never reaches a worker. Only [id] and [n] are required; every
     other field has the default documented below.
 
-    {b Determinism.} Everything a worker draws derives from [seed] alone
-    (per-trial children are pre-split in trial order), never from the
-    attempt number or scheduling — so a retried attempt replays the
-    identical simulation and the job's events file is bit-identical
-    however many attempts, workers or resumes it took. Fleet jobs run on
-    the complete interaction graph (the paper's model); restricted
-    topologies stay in [ssr_sim]. *)
-
-type engine = Agent | Count
-type kernel = Interp | Compiled
+    {b Determinism.} A job's trials follow {!Run}'s seeding rule, which
+    depends on the spec alone, never on the attempt number or
+    scheduling — so a retried attempt replays the identical simulation,
+    the job's events file is bit-identical however many attempts,
+    workers or resumes it took, and it equals [ssr_sim --events] for the
+    same flags (one-trial jobs included). Fleet jobs run on the complete
+    interaction graph (the paper's model); restricted topologies stay in
+    [ssr_sim]. *)
 
 type t = {
   id : string;  (** unique in the fleet; 1-64 chars of [A-Za-z0-9_.-] (names the job's output files) *)
-  protocol : string;  (** silent | optimal | sublinear *)
-  n : int;  (** population size, >= 2 *)
-  h : int;  (** sublinear history depth (default 2) *)
-  seed : int;  (** PRNG root for the job (default 1) *)
-  scenario : string;  (** initial-configuration scenario (default uniform) *)
-  engine : engine;  (** default Agent; Count requires a deterministic protocol *)
-  kernel : kernel;  (** default Interp *)
-  trials : int;  (** independent trials in the job (default 1) *)
-  chaos : string option;  (** [Chaos.Spec] — soak instead of run-to-stability *)
-  horizon : float option;  (** soak length, parallel time units (chaos only) *)
-  sla : float option;  (** recovery SLA budget, time units (chaos only) *)
   deadline : int option;
-      (** per-attempt interaction budget; an attempt still unconverged at
-          the deadline fails (and retries). On the {e interaction} clock,
-          not wall time, so deadline verdicts are deterministic. *)
+      (** per-trial interaction budget of a to-stability job: a trial
+          whose interaction clock reaches it before stabilizing fails the
+          attempt (and retries). On the {e interaction} clock, not wall
+          time, so deadline verdicts are deterministic. *)
   retries : int;  (** attempts after the first before the job fails (default 2) *)
   group : string;  (** fair-share scheduling class (default: the protocol) *)
+  spec : Spec.t;
+      (** JSON fields [protocol] (default optimal), [n], [h] (2), [seed]
+          (1), [scenario] (uniform), [engine] (agent), [kernel] (interp),
+          [trials] (1), [chaos], [horizon], [sla]; always the complete
+          graph *)
 }
 
 val make :
@@ -47,8 +40,8 @@ val make :
   ?h:int ->
   seed:int ->
   ?scenario:string ->
-  ?engine:engine ->
-  ?kernel:kernel ->
+  ?engine:Engine.Exec.kind ->
+  ?compiled:bool ->
   ?trials:int ->
   ?chaos:string ->
   ?horizon:float ->
@@ -61,10 +54,8 @@ val make :
 (** Builds and validates a spec (same checks as {!of_json}). *)
 
 val of_json : Telemetry.Json.t -> (t, string) result
-(** Parses and fully validates one spec: id shape, known protocol,
-    engine/kernel compatibility (count or compiled kernel with a
-    randomized protocol is rejected here), ranges, and the chaos spec via
-    [Chaos.Spec.parse]. *)
+(** Parses and fully validates one spec: id shape, retries and deadline
+    ranges, then {!Spec.validate}. *)
 
 val of_line : string -> (t, string) result
 (** [of_json] over one JSONL line. *)
@@ -72,6 +63,3 @@ val of_line : string -> (t, string) result
 val to_json : t -> Telemetry.Json.t
 (** Canonical encoding; [of_json (to_json t) = Ok t]. The journal stores
     specs in this form. *)
-
-val engine_to_string : engine -> string
-val kernel_to_string : kernel -> string

@@ -183,7 +183,8 @@ let dispatch t entry =
   Journal.append t.journal (Journal.Start { id; attempt });
   t.in_flight <- t.in_flight + 1;
   let decision =
-    Chaos.Fleet_faults.decide t.cfg.chaos ~seed:t.cfg.chaos_seed ~job_id:id ~attempt ~n:job.Job.n
+    Chaos.Fleet_faults.decide t.cfg.chaos ~seed:t.cfg.chaos_seed ~job_id:id ~attempt
+      ~n:job.Job.spec.Spec.n
   in
   let out_dir = t.cfg.out_dir in
   Engine.Pool.submit t.pool (fun () ->
@@ -206,7 +207,7 @@ let backoff_ticks t (job : Job.t) ~attempt =
   let base = t.cfg.backoff_base in
   let jitter_rng =
     Prng.create
-      ~seed:(Chaos.Fleet_faults.mix ~seed:job.Job.seed ~job_id:job.Job.id ~attempt)
+      ~seed:(Chaos.Fleet_faults.mix ~seed:job.Job.spec.Spec.seed ~job_id:job.Job.id ~attempt)
   in
   (base * (1 lsl exponent)) + Prng.int jitter_rng base
 
@@ -326,8 +327,8 @@ let snapshot_json t =
           ([
              ("id", J.String id);
              ("group", J.String entry.job.Job.group);
-             ("protocol", J.String entry.job.Job.protocol);
-             ("n", J.Int entry.job.Job.n);
+             ("protocol", J.String entry.job.Job.spec.Spec.protocol);
+             ("n", J.Int entry.job.Job.spec.Spec.n);
              ("attempts", J.Int entry.attempts);
            ]
           @ status_json entry.status))

@@ -17,160 +17,27 @@ type outcome = {
   manifest_path : string;
 }
 
-(* Mirrors ssr_sim's existential packing: one dispatch loop owns the
-   engine / kernel / chaos branching for every protocol. Fleet jobs run
-   on the complete interaction graph, so there is no topology arm. *)
-type runnable =
-  | Runnable : {
-      protocol : 's Engine.Protocol.t;
-      enumerable : ('s Engine.Enumerable.t, string) result;
-      gen : Prng.t -> 's array;
-      random_state : Prng.t -> 's;
-      horizon_scale : float;
-    }
-      -> runnable
-
-let lookup_scenario ~job catalogue =
-  match List.assoc_opt job.Job.scenario catalogue with
-  | Some gen -> gen
-  | None ->
-      failwith
-        (Printf.sprintf "unknown %s scenario %S (available: %s)" job.Job.protocol
-           job.Job.scenario
-           (String.concat ", " (List.map fst catalogue)))
-
-let runnable_of_job (job : Job.t) =
-  let n = job.Job.n in
-  match job.Job.protocol with
-  | "silent" ->
-      Runnable
-        {
-          protocol = Core.Silent_n_state.protocol ~n;
-          enumerable = Ok (Core.Silent_n_state.enumerable ~n);
-          gen = lookup_scenario ~job (Core.Scenarios.silent_catalogue ~n);
-          random_state = (fun rng -> Core.Scenarios.silent_random_state rng ~n);
-          horizon_scale = float_of_int n;
-        }
-  | "optimal" ->
-      let params = Core.Params.optimal_silent n in
-      Runnable
-        {
-          protocol = Core.Optimal_silent.protocol ~params ~n ();
-          enumerable = Ok (Core.Optimal_silent.enumerable ~params ~n ());
-          gen = lookup_scenario ~job (Core.Scenarios.optimal_catalogue ~params ~n);
-          random_state = (fun rng -> Core.Scenarios.optimal_random_state rng ~params ~n);
-          horizon_scale = 40.0;
-        }
-  | "sublinear" ->
-      let h = job.Job.h in
-      let params = Core.Params.sublinear ~h n in
-      Runnable
-        {
-          protocol = Core.Sublinear.protocol ~params ~n ~h ();
-          enumerable = Error "the transition is randomized";
-          gen = lookup_scenario ~job (Core.Scenarios.sublinear_catalogue ~params ~n);
-          random_state = (fun rng -> Core.Scenarios.sublinear_random_state rng ~params ~n);
-          horizon_scale = 40.0;
-        }
-  | other -> failwith (Printf.sprintf "unknown protocol %S" other)
-
-let exec_kind (job : Job.t) =
-  match job.Job.engine with Job.Agent -> Engine.Exec.Agent | Job.Count -> Engine.Exec.Count
-
-let make_exec (type s) ~(job : Job.t) ~(protocol : s Engine.Protocol.t)
-    ~(kernel : s Ir.Kernel.t option) ~(init : s array) ~rng : s Engine.Exec.t =
-  let kind = exec_kind job in
-  match kernel with
-  | Some k -> Ir.Kernel.exec ~kind k ~init ~rng
-  | None -> (
-      match kind with
-      | Engine.Exec.Count -> Engine.Exec.make ~kind ~protocol ~init ~rng ()
-      | Engine.Exec.Agent -> Engine.Exec.of_sim (Engine.Sim.make ~protocol ~init ~rng))
-
-let step_interval ~n = max 1 (n / 2)
-let to_interactions ~n t = max 1 (int_of_float (Float.ceil (t *. float_of_int n)))
-
 let events_path ~out_dir (job : Job.t) = Filename.concat out_dir (job.Job.id ^ ".events.jsonl")
 
 let manifest_path ~out_dir (job : Job.t) =
   Filename.concat out_dir (job.Job.id ^ ".manifest.json")
 
+(* Raises [fault at] once the executor's interaction clock reaches [at]. *)
+let arm exec ~at fault =
+  Engine.Exec.on exec (fun ev ->
+      let i = Engine.Instrument.interactions ev in
+      if i >= at then raise (fault i))
+
 let run ~out_dir ?kill_at ?(stall = false) ~attempt (job : Job.t) =
-  let t0 = Unix.gettimeofday () in
-  let (Runnable r) = runnable_of_job job in
-  let { Job.n; seed; trials; _ } = job in
-  let kernel =
-    match (job.Job.kernel, r.enumerable) with
-    | Job.Interp, _ -> None
-    | Job.Compiled, Ok e -> Some (Ir.Kernel.compile e)
-    | Job.Compiled, Error reason ->
-        (* Job validation rejects this; a journal edited by hand can
-           still reach here, so fail the attempt rather than assert. *)
-        failwith (Printf.sprintf "compiled kernel unavailable: %s" reason)
-  in
-  let chaos =
-    Option.map
-      (fun spec ->
-        match Chaos.Spec.parse spec with
-        | Ok (schedule, adversary) -> (schedule, adversary)
-        | Error msg -> failwith (Printf.sprintf "chaos: %s" msg))
-      job.Job.chaos
-  in
-  (* The entropy for trial [i] depends only on (job.seed, i): identical on
-     every attempt, worker and resume — the heart of the determinism
-     contract. The per-attempt chaos/backoff draws live in the
-     orchestrator, never here. *)
-  let children = Prng.split_many (Prng.create ~seed) trials in
-  let buffers = Array.init trials (fun _ -> Telemetry.Sink.buffer ()) in
-  let converged = ref 0 in
-  for i = 0 to trials - 1 do
-    let rng = children.(i) in
-    let init = r.gen rng in
-    let exec = make_exec ~job ~protocol:r.protocol ~kernel ~init ~rng in
+  let spec = job.Job.spec in
+  let deadline = if spec.Spec.chaos = None then job.Job.deadline else None in
+  let on_exec ~trial:_ exec =
+    Option.iter (fun at -> arm exec ~at (fun _ -> Chaos.Fleet_faults.Killed)) kill_at;
     Option.iter
-      (fun at ->
-        Engine.Exec.on exec (fun ev ->
-            if Engine.Instrument.interactions ev >= at then raise Chaos.Fleet_faults.Killed))
-      kill_at;
-    let run_meta =
-      Telemetry.Events.make_run ~engine:(exec_kind job) ~protocol:r.protocol.Engine.Protocol.name
-        ~n ~seed ~trial:i ()
-    in
-    Telemetry.Events.attach ~step_interval:(step_interval ~n) exec ~run:run_meta buffers.(i);
-    (match chaos with
-    | Some (schedule, adversary) ->
-        let horizon =
-          match job.Job.horizon with
-          | Some t -> to_interactions ~n t
-          | None -> 8 * Engine.Runner.default_confirm ~n
-        in
-        let sla_budget = Option.map (to_interactions ~n) job.Job.sla in
-        let report =
-          Chaos.Soak.run ?sla_budget ~schedule ~adversary ~random_state:r.random_state ~rng
-            ~horizon exec
-        in
-        if report.Chaos.Soak.sla.Chaos.Soak.met then incr converged
-    | None ->
-        let horizon =
-          Engine.Runner.default_horizon ~n ~expected_time:(r.horizon_scale *. float_of_int n)
-        in
-        let max_interactions =
-          match job.Job.deadline with Some d -> min d horizon | None -> horizon
-        in
-        let outcome =
-          Engine.Runner.run_to_stability ~task:Engine.Runner.Ranking ~max_interactions
-            ~confirm_interactions:(Engine.Runner.default_confirm ~n)
-            exec
-        in
-        (match job.Job.deadline with
-        | Some d when not outcome.Engine.Runner.converged ->
-            raise
-              (Deadline_exceeded
-                 { interactions = outcome.Engine.Runner.total_interactions; deadline = d })
-        | _ -> ());
-        if outcome.Engine.Runner.converged then incr converged);
-    Telemetry.Metrics.record_exec exec
-  done;
+      (fun d -> arm exec ~at:d (fun i -> Deadline_exceeded { interactions = i; deadline = d }))
+      deadline
+  in
+  let r = Run.execute ~events:true ~hook:{ Run.on_exec } spec in
   (* A kill drawn past the last event the trials produced must still
      fail the attempt: the buffers are discarded either way, so raising
      here is observationally the same as the in-run hook firing. *)
@@ -181,44 +48,27 @@ let run ~out_dir ?kill_at ?(stall = false) ~attempt (job : Job.t) =
      Every prefix of that order is safe to crash in: a re-run rewrites
      byte-identical events, so the files are exactly-once in content even
      when execution is at-least-once. *)
-  let ev_path = events_path ~out_dir job in
-  let sink = Telemetry.Sink.file ev_path in
-  Array.iter
-    (fun buffer ->
-      String.split_on_char '\n' (Telemetry.Sink.contents buffer)
-      |> List.iter (fun line -> if line <> "" then Telemetry.Sink.write_line sink line))
-    buffers;
-  Telemetry.Sink.close sink;
-  let wall_s = Unix.gettimeofday () -. t0 in
-  let mf_path = manifest_path ~out_dir job in
-  let manifest =
-    Telemetry.Manifest.make
-      ~run:("fleet:" ^ job.Job.id)
-      ~protocol:job.Job.protocol
-      ~engine:(Job.engine_to_string job.Job.engine)
-      ~n ~seed ~trials
-      ~params:
-        ([
-           ("scenario", Telemetry.Json.String job.Job.scenario);
-           ("kernel", Telemetry.Json.String (Job.kernel_to_string job.Job.kernel));
-           ("group", Telemetry.Json.String job.Job.group);
-         ]
-        @ (match job.Job.chaos with
-          | Some spec -> [ ("chaos", Telemetry.Json.String spec) ]
-          | None -> [])
-        @
-        match job.Job.deadline with
-        | Some d -> [ ("deadline", Telemetry.Json.Int d) ]
-        | None -> [])
-      ~wall_clock_s:wall_s ()
+  let ev_path = events_path ~out_dir job and mf_path = manifest_path ~out_dir job in
+  Run.write_events r ev_path;
+  let params =
+    ("group", Telemetry.Json.String job.Job.group)
+    :: Option.to_list (Option.map (fun d -> ("deadline", Telemetry.Json.Int d)) job.Job.deadline)
   in
-  Telemetry.Manifest.write ~path:mf_path manifest;
+  Telemetry.Manifest.write ~path:mf_path (Run.manifest ~params ~run:("fleet:" ^ job.Job.id) r);
+  let converged =
+    Array.fold_left
+      (fun acc -> function
+        | Ok (Run.Stable o) when o.Engine.Runner.converged -> acc + 1
+        | Ok (Run.Soaked r) when r.Chaos.Soak.sla.Chaos.Soak.met -> acc + 1
+        | Ok _ | Error _ -> acc)
+      0 r.Run.trials
+  in
   {
     job;
     attempt;
-    converged = !converged;
-    trials;
-    wall_s;
+    converged;
+    trials = spec.Spec.trials;
+    wall_s = r.Run.wall_clock_s;
     events_path = ev_path;
     manifest_path = mf_path;
   }

@@ -1,20 +1,19 @@
 (** One supervised job attempt: run the trials, then publish outputs.
 
-    A worker executes every trial of a job sequentially inside one pool
-    task, buffering telemetry in memory; only a fully successful attempt
-    flushes the events file and writes the manifest (events first,
-    manifest second, caller's journal entry third — see
-    {!Journal.replay} for why that order makes crash recovery
-    idempotent). A failed attempt — protocol exception, blown
-    {!Job.deadline}, injected {!Chaos.Fleet_faults.Killed} /
-    [Stalled] — leaves {e no} partial outputs behind and surfaces as the
-    raised exception, which the orchestrator traps with
-    {!Supervise.run}.
+    A worker runs the job's {!Spec} through {!Run.execute}, every trial
+    sequentially inside one pool task with its telemetry buffered in
+    memory; only a fully successful attempt writes the events file and
+    the manifest (events first, manifest second, caller's journal entry
+    third — see {!Journal.replay} for why that order makes crash
+    recovery idempotent). A failed attempt — protocol exception, blown
+    {!Job.deadline}, injected {!Chaos.Fleet_faults.Killed} / [Stalled] —
+    leaves {e no} partial outputs behind and surfaces as the raised
+    exception, which the orchestrator traps with {!Supervise.run}.
 
-    Trial entropy is pre-split from [job.seed] in trial order, so for a
-    fixed spec the events file content is a pure function of the spec:
-    bit-identical across attempts, worker counts, and kill/resume
-    cycles. *)
+    Trials follow {!Run}'s seeding rule, so for a fixed spec the events
+    file content is a pure function of the spec: bit-identical across
+    attempts, worker counts and kill/resume cycles, and equal to
+    [ssr_sim --events] for the same flags. *)
 
 exception Deadline_exceeded of { interactions : int; deadline : int }
 

@@ -23,4 +23,5 @@ let () =
       ("certify", Test_certify.suite);
       ("viz", Test_viz.suite);
       ("fleet", Test_fleet.suite);
+      ("cli", Test_cli.suite);
     ]

@@ -66,11 +66,11 @@ let test_job_defaults_and_roundtrip () =
   (match Fleet.Job.of_line {|{"id":"a","n":8}|} with
   | Error msg -> Alcotest.failf "minimal spec rejected: %s" msg
   | Ok j ->
-      check_string "default protocol" "optimal" j.Fleet.Job.protocol;
-      check_int "default trials" 1 j.Fleet.Job.trials;
+      check_string "default protocol" "optimal" j.Fleet.Job.spec.Fleet.Spec.protocol;
+      check_int "default trials" 1 j.Fleet.Job.spec.Fleet.Spec.trials;
       check_int "default retries" 2 j.Fleet.Job.retries;
       check_string "group defaults to protocol" "optimal" j.Fleet.Job.group;
-      check_bool "no chaos" true (j.Fleet.Job.chaos = None));
+      check_bool "no chaos" true (j.Fleet.Job.spec.Fleet.Spec.chaos = None));
   let j =
     job "rt" ~protocol:"sublinear" ~n:64 ~seed:9 ~trials:3
       ~chaos:"periodic:2000,corrupt:0.1" ~horizon:50.0 ~sla:25.0 ~group:"g1"
@@ -94,6 +94,20 @@ let test_job_validation () =
   rejects "bad chaos spec" {|{"id":"a","n":8,"chaos":"nope"}|};
   rejects "horizon without chaos" {|{"id":"a","n":8,"horizon":10.0}|};
   rejects "not json" {|{"id":|}
+
+(* A spec line exactly as the journal stored it before specs moved into
+   Fleet.Spec: it must parse, and re-encode to the same bytes. *)
+let test_job_journal_line_unchanged () =
+  let line =
+    {|{"id":"soak-b","protocol":"optimal","n":32,"h":2,"seed":5,"scenario":"uniform","engine":"count","kernel":"compiled","trials":3,"chaos":"poisson:0.2,corrupt:0.1","horizon":200.0,"sla":null,"deadline":null,"retries":2,"group":"optimal"}|}
+  in
+  match Fleet.Job.of_line line with
+  | Error msg -> Alcotest.failf "stored spec rejected: %s" msg
+  | Ok j ->
+      check_bool "count engine" true (j.Fleet.Job.spec.Fleet.Spec.engine = Engine.Exec.Count);
+      check_bool "compiled kernel" true j.Fleet.Job.spec.Fleet.Spec.compiled;
+      check_string "re-encodes byte for byte" line
+        (Telemetry.Json.to_string (Fleet.Job.to_json j))
 
 (* {2 Admission: bounded, fair} *)
 
@@ -430,12 +444,134 @@ let test_fleet_snapshot_json () =
       check_bool "kind" true (contains ~sub:{|"kind":"fleet_status"|} s);
       check_bool "job row" true (contains ~sub:{|"state":"completed"|} s))
 
+(* {2 Spec, catalogue and run} *)
+
+(* The declared state space is built only for a compiled kernel: the
+   entry and its protocol stay small at n = 10⁶, where the state space
+   alone is gigabytes. *)
+let test_catalogue_state_space_lazy () =
+  let before = Gc.allocated_bytes () in
+  (match Fleet.Catalogue.find ~protocol:"optimal" ~n:1_000_000 ~h:2 with
+  | Some (Fleet.Catalogue.Entry e) -> ignore (Sys.opaque_identity e.protocol)
+  | None -> Alcotest.fail "optimal missing from the catalogue");
+  let mb = (Gc.allocated_bytes () -. before) /. 1e6 in
+  check_bool (Printf.sprintf "optimal entry at n = 10^6 allocates %.1f MB < 16 MB" mb) true
+    (mb < 16.0)
+
+let test_spec_validation () =
+  let spec = Fleet.Spec.default ~protocol:"optimal" ~n:8 ~seed:1 in
+  let rejects label s = check_bool label true (Result.is_error (Fleet.Spec.validate s)) in
+  check_bool "default spec valid" true (Fleet.Spec.validate spec = Ok spec);
+  rejects "n = 1" { spec with Fleet.Spec.n = 1 };
+  rejects "negative h" { spec with Fleet.Spec.protocol = "sublinear"; h = -1 };
+  rejects "unknown scenario" { spec with Fleet.Spec.scenario = "nope" };
+  rejects "unknown topology" { spec with Fleet.Spec.topology = "torus" };
+  rejects "count engine, randomized protocol"
+    { spec with Fleet.Spec.protocol = "sublinear"; engine = Engine.Exec.Count };
+  rejects "compiled kernel, randomized protocol"
+    { spec with Fleet.Spec.protocol = "sublinear"; compiled = true };
+  rejects "sla without chaos" { spec with Fleet.Spec.sla = Some 4.0 };
+  check_bool "compiled optimal on the count engine" true
+    (Result.is_ok
+       (Fleet.Spec.validate { spec with Fleet.Spec.engine = Engine.Exec.Count; compiled = true }))
+
+let test_manifest_params () =
+  let module J = Telemetry.Json in
+  let spec = Fleet.Spec.default ~protocol:"silent" ~n:64 ~seed:1 in
+  let base = [ ("scenario", J.String "uniform"); ("topology", J.String "complete") ] in
+  check_bool "stability params" true
+    (Fleet.Run.manifest_params spec
+    = base @ [ ("kernel", J.String "interp"); ("horizon_scale", J.Float 64.0) ]);
+  let soak =
+    {
+      spec with
+      Fleet.Spec.chaos = Some "burst:10,corrupt:0.5";
+      horizon = Some 10.0;
+      compiled = true;
+    }
+  in
+  check_bool "soak params, default budget" true
+    (Fleet.Run.manifest_params soak
+    = base
+      @ [
+          ("kernel", J.String "compiled");
+          ("chaos", J.String "burst:10,corrupt:0.5");
+          ("horizon_interactions", J.Int 640);
+          ("sla_budget_interactions", J.Int (Chaos.Soak.default_budget ~n:64));
+        ]);
+  (* every trial raising leaves the manifest's params intact *)
+  let failing = { soak with Fleet.Spec.trials = 2 } in
+  let r =
+    Fleet.Run.execute ~jobs:1
+      ~hook:{ Fleet.Run.on_exec = (fun ~trial:_ _ -> failwith "boom") }
+      failing
+  in
+  check_bool "every trial failed" true (Array.for_all Result.is_error r.Fleet.Run.trials);
+  check_bool "params survive failed trials" true
+    ((Fleet.Run.manifest ~run:"t" r).Telemetry.Manifest.params
+    = Fleet.Run.manifest_params failing)
+
+(* The fleet worker and ssr_sim run one spec through one run path: the
+   same flags give the same events file, one-trial jobs included. *)
+let test_frontends_agree () =
+  let cases =
+    List.concat_map
+      (fun trials ->
+        List.concat_map
+          (fun chaos ->
+            List.map
+              (fun engine -> (trials, chaos, engine))
+              [ Engine.Exec.Agent; Engine.Exec.Count ])
+          [ None; Some "poisson:0.2,corrupt:0.1" ])
+      [ 1; 3 ]
+  in
+  List.iter
+    (fun (trials, chaos, engine) ->
+      let engine_s = Engine.Exec.kind_to_string engine in
+      let label =
+        Printf.sprintf "trials %d, %s, %s" trials
+          (if chaos = None then "stability" else "soak")
+          engine_s
+      in
+      let horizon = Option.map (fun _ -> 50.0) chaos in
+      let j =
+        match
+          Fleet.Job.make ~id:"eq" ~protocol:"optimal" ~n:16 ~seed:4 ~engine ~trials ?chaos ?horizon
+            ()
+        with
+        | Ok j -> j
+        | Error msg -> Alcotest.failf "%s: %s" label msg
+      in
+      Test_cli.with_tmp_dir @@ fun dir ->
+      let _ = Fleet.Worker.run ~out_dir:dir ~attempt:1 j in
+      let cli_events = Filename.concat dir "cli.jsonl" in
+      let code, _, _ =
+        Test_cli.run_ssr_sim ~dir
+          ([ "-p"; "optimal"; "-n"; "16"; "--seed"; "4"; "--engine"; engine_s ]
+          @ [ "--trials"; string_of_int trials; "--jobs"; "2" ]
+          @ (match chaos with Some c -> [ "--chaos"; c; "--horizon"; "50" ] | None -> [])
+          @ [ "--events"; cli_events ])
+      in
+      check_bool (label ^ ": ssr_sim ran") true (code = 0 || code = 1);
+      check_string (label ^ ": events equal") (read_file cli_events)
+        (events_of ~out_dir:dir j))
+    cases
+
 let suite =
   [
     Alcotest.test_case "supervise: captures raises, accounts failures" `Quick test_supervise;
     Alcotest.test_case "job: defaults and canonical round trip" `Quick
       test_job_defaults_and_roundtrip;
     Alcotest.test_case "job: malformed specs shed at admission" `Quick test_job_validation;
+    Alcotest.test_case "job: stored journal spec parses and re-encodes unchanged" `Quick
+      test_job_journal_line_unchanged;
+    Alcotest.test_case "catalogue: state space built only for a compiled kernel" `Quick
+      test_catalogue_state_space_lazy;
+    Alcotest.test_case "spec: validation from the catalogue" `Quick test_spec_validation;
+    Alcotest.test_case "run: manifest params are a function of the spec" `Quick
+      test_manifest_params;
+    Alcotest.test_case "run: fleet worker events equal ssr_sim --events" `Quick
+      test_frontends_agree;
     Alcotest.test_case "admission: bounded with explicit shed verdicts" `Quick
       test_admission_backpressure;
     Alcotest.test_case "admission: round-robin fairness across groups" `Quick
