@@ -81,14 +81,18 @@ let start sched ~rng ~n =
   walk sched;
   List.rev !sources
 
+(* Returns the earliest source's own [next], so a peek allocates nothing:
+   [Soak.run] peeks twice per interaction. *)
 let peek stream =
-  List.fold_left
-    (fun acc s ->
-      match (s.next, acc) with
-      | None, _ -> acc
-      | Some a, None -> Some a
-      | Some a, Some b -> Some (min a b))
-    None stream
+  let rec earliest best = function
+    | [] -> best
+    | { next = None; _ } :: rest -> earliest best rest
+    | ({ next = Some a; _ } as s) :: rest -> (
+        match best with
+        | Some b when b <= a -> earliest best rest
+        | Some _ | None -> earliest s.next rest)
+  in
+  earliest None stream
 
 let pop stream =
   match peek stream with

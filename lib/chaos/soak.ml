@@ -100,12 +100,11 @@ let run (type a) ?sla_budget ?(task = Engine.Runner.Ranking) ~schedule ~adversar
     pins := !pins @ new_pins;
     observe ()
   in
-  (* Next pending arrival, shifted to the executor's clock. *)
-  let next_arrival () = Option.map (fun a -> t0 + a) (Schedule.peek stream) in
+  (* Pending arrivals [a] are shifted to the executor's clock as [t0 + a]. *)
   let fire_due () =
     let rec loop () =
-      match next_arrival () with
-      | Some a when a <= !clock ->
+      match Schedule.peek stream with
+      | Some a when t0 + a <= !clock ->
           ignore (Schedule.pop stream : int option);
           fire ();
           loop ()
@@ -116,25 +115,28 @@ let run (type a) ?sla_budget ?(task = Engine.Runner.Ranking) ~schedule ~adversar
   (* Re-inject every active pin whose agent has drifted. Expired pins are
      dropped first, so a pin holds for exactly [duration] interactions. *)
   let enforce_pins () =
-    if !pins <> [] then begin
-      pins := List.filter (fun p -> p.Adversary.expires_at > !clock) !pins;
-      List.iter
-        (fun { Adversary.agent; state; expires_at = _ } ->
-          if not (protocol.Engine.Protocol.equal (Engine.Exec.state exec agent) state) then begin
-            Engine.Exec.inject exec agent state;
-            incr repins;
-            incr faults_applied;
-            note_fault ()
-          end)
-        !pins;
-      observe ()
-    end
+    match !pins with
+    | [] -> ()
+    | _ :: _ ->
+        pins := List.filter (fun p -> p.Adversary.expires_at > !clock) !pins;
+        List.iter
+          (fun { Adversary.agent; state; expires_at = _ } ->
+            if not (protocol.Engine.Protocol.equal (Engine.Exec.state exec agent) state) then begin
+              Engine.Exec.inject exec agent state;
+              incr repins;
+              incr faults_applied;
+              note_fault ()
+            end)
+          !pins;
+        observe ()
   in
   observe ();
   fire_due ();
   while !clock < horizon_abs do
     let until =
-      match next_arrival () with Some a when a < horizon_abs -> a | Some _ | None -> horizon_abs
+      match Schedule.peek stream with
+      | Some a when t0 + a < horizon_abs -> t0 + a
+      | Some _ | None -> horizon_abs
     in
     let before = !clock in
     let was_correct = !correct in

@@ -6,12 +6,15 @@ let empty = []
 
 let rec depth_node nd = 1 + depth nd.children
 
-and depth t = List.fold_left (fun acc nd -> max acc (depth_node nd)) 0 t
+and depth t = List.fold_left (fun acc nd -> Int.max acc (depth_node nd)) 0 t
 
 let rec node_count t = List.fold_left (fun acc nd -> acc + 1 + node_count nd.children) 0 t
 
 let rec decrement_timers t =
-  List.map (fun nd -> { nd with timer = max (nd.timer - 1) 0; children = decrement_timers nd.children }) t
+  List.map
+    (fun nd ->
+      { nd with timer = Int.max (nd.timer - 1) 0; children = decrement_timers nd.children })
+    t
 
 let rec truncate ~depth t =
   if depth <= 0 then []

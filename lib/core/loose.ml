@@ -9,7 +9,7 @@ let protocol ~n ~t_max : state Engine.Protocol.t =
   if t_max < 1 then invalid_arg "Loose.protocol: t_max must be >= 1";
   let transition _rng a b =
     (* the larger timer propagates, one tick poorer *)
-    let shared = max (max a.timer b.timer - 1) 0 in
+    let shared = Int.max (Int.max a.timer b.timer - 1) 0 in
     let settle s =
       if s.leader then { s with timer = t_max }
       else if shared = 0 then { leader = true; timer = t_max } (* timeout: no leader heard *)
@@ -26,7 +26,7 @@ let protocol ~n ~t_max : state Engine.Protocol.t =
     n;
     transition;
     deterministic = true;
-    equal = ( = );
+    equal = (fun a b -> Bool.equal a.leader b.leader && a.timer = b.timer);
     pp = (fun fmt s -> Format.fprintf fmt "%s(timer=%d)" (if s.leader then "L" else "F") s.timer);
     rank;
     is_leader = (fun s -> s.leader);

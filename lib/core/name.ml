@@ -26,7 +26,7 @@ let of_int ~bits ~len =
 let to_int t = t.bits
 
 let compare a b =
-  let m = min a.len b.len in
+  let m = Int.min a.len b.len in
   (* Equal-length prefixes compare lexicographically as integers. *)
   let pa = a.bits lsr (a.len - m) in
   let pb = b.bits lsr (b.len - m) in

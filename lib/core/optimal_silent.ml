@@ -62,7 +62,7 @@ let protocol ?params ~n () : state Engine.Protocol.t =
      whether the alarm fired. *)
   let countdown = function
     | Unsettled u ->
-        let errorcount = max (u.errorcount - 1) 0 in
+        let errorcount = Int.max (u.errorcount - 1) 0 in
         (Unsettled { errorcount }, errorcount = 0)
     | Settled _ as s -> (s, false)
   in
@@ -109,7 +109,8 @@ let protocol ?params ~n () : state Engine.Protocol.t =
     equal;
     pp;
     rank;
-    is_leader = Engine.Protocol.leader_from_rank rank;
+    (* [leader_from_rank rank], without the [Some] that [rank] allocates. *)
+    is_leader = (function Reset.Computing (Settled { rank = 1; _ }) -> true | _ -> false);
   }
 
 let states ~(params : Params.optimal_silent) ~n =

@@ -19,78 +19,75 @@ let is_propagating = function Resetting r -> r.resetcount > 0 | Computing _ -> f
 
 let is_resetting = function Resetting _ -> true | Computing _ -> false
 
-(* One side of the interaction, processed through lines 1–12 of Protocol 2.
-   [partner_propagating], [partner_was_computing] refer to the partner's
-   state at the start of the interaction. *)
-let step_side ~spec rng role ~partner_propagating ~partner_was_computing ~joint_count =
-  (* Lines 1–3: recruitment of a computing agent by a propagating one. *)
-  let role =
-    match role with
-    | Computing _ when partner_propagating ->
-        Resetting { resetcount = 0; delaytimer = spec.d_max; payload = spec.recruit_payload rng }
-    | Computing _ | Resetting _ -> role
-  in
-  match role with
-  | Computing _ -> role
-  | Resetting r -> begin
-      (* Lines 4–5: when both ends are Resetting, both resetcounts move to
-         max(a−1, b−1, 0), precomputed by the caller as [joint_count]. *)
-      let old_count = r.resetcount in
-      let r =
-        match joint_count with
-        | Some c -> { r with resetcount = c }
-        | None -> r
-      in
-      if r.resetcount > 0 then
-        Resetting { r with payload = spec.propagating_tick rng r.payload }
-      else begin
-        (* Lines 6–12: dormant bookkeeping and possible awakening. *)
-        let delaytimer =
-          if old_count > 0 then spec.d_max (* just became dormant *)
-          else max (r.delaytimer - 1) 0
-        in
-        if delaytimer = 0 || partner_was_computing then Computing (spec.awaken rng r.payload)
-        else Resetting { r with delaytimer; payload = spec.dormant_tick rng r.payload }
-      end
-    end
+(* The state an agent brings into lines 4–12 of Protocol 2 once lines 1–3
+   have run: its own resetcount and delaytimer, or [resetcount = 0],
+   [delaytimer = D_max] and a fresh payload for a computing agent just
+   recruited. *)
+let entry_count = function Resetting r -> r.resetcount | Computing _ -> 0
 
+let entry_delay ~spec = function Resetting r -> r.delaytimer | Computing _ -> spec.d_max
+
+let entry_payload ~spec rng = function
+  | Resetting r -> r.payload
+  | Computing _ -> spec.recruit_payload rng
+
+(* Lines 6–8: the delaytimer of an agent ending the interaction dormant. *)
+let dormant_delay ~spec role =
+  if entry_count role > 0 then spec.d_max (* just became dormant *)
+  else Int.max (entry_delay ~spec role - 1) 0
+
+let resetting resetcount delaytimer payload = Resetting { resetcount; delaytimer; payload }
+
+(* Each side's final resetcount, delaytimer and payload are computed before
+   its state is built, so a side costs one [Resetting] record, and the
+   spec's closures run in the order [reset.mli] promises. *)
 let step ~spec rng ra rb =
   match (ra, rb) with
   | Computing _, Computing _ -> (ra, rb)
-  | _ -> begin
-      let a_propagating = is_propagating ra and b_propagating = is_propagating rb in
-      let a_was_computing = not (is_resetting ra) and b_was_computing = not (is_resetting rb) in
-      (* Both ends Resetting after recruitment ⇔ each end is Resetting or
-         has a propagating partner. *)
-      let both_resetting =
-        (is_resetting ra || b_propagating) && (is_resetting rb || a_propagating)
-      in
-      let joint_count =
-        if not both_resetting then None
-        else begin
-          let count = function
-            | Resetting r -> r.resetcount
-            | Computing _ -> 0 (* just recruited: resetcount 0 *)
+  (* A dormant agent meeting a computing one recruits no one, keeps
+     resetcount 0, and awakens because its partner computes (lines 9–12);
+     the partner is untouched. *)
+  | Resetting x, Computing _ when x.resetcount = 0 -> (Computing (spec.awaken rng x.payload), rb)
+  | Computing _, Resetting y when y.resetcount = 0 -> (ra, Computing (spec.awaken rng y.payload))
+  | _ ->
+      (* Every other pair has both ends Resetting after recruitment
+         (lines 1–3: a computing end here meets a propagating partner).
+         Lines 4–5 move both resetcounts to max(a−1, b−1, 0). *)
+      let count = Int.max (Int.max (entry_count ra - 1) (entry_count rb - 1)) 0 in
+      if count > 0 then begin
+        let pa = spec.propagating_tick rng (entry_payload ~spec rng ra) in
+        let pb = spec.propagating_tick rng (entry_payload ~spec rng rb) in
+        (* Pairwise payload interaction (e.g. L,L → L,F) when both ends are
+           still Resetting, matching Protocol 3's order. *)
+        let pa, pb = spec.resetting_pair rng pa pb in
+        (resetting count (entry_delay ~spec ra) pa, resetting count (entry_delay ~spec rb) pb)
+      end
+      else begin
+        (* Lines 6–12: both ends dormant; each awakens when its timer
+           expires or its partner was computing. *)
+        let da = dormant_delay ~spec ra and db = dormant_delay ~spec rb in
+        let wake_a = da = 0 || not (is_resetting rb) and wake_b = db = 0 || not (is_resetting ra) in
+        let pa = entry_payload ~spec rng ra in
+        if wake_a then begin
+          let a' = Computing (spec.awaken rng pa) in
+          let pb = entry_payload ~spec rng rb in
+          let b' =
+            if wake_b then Computing (spec.awaken rng pb)
+            else resetting 0 db (spec.dormant_tick rng pb)
           in
-          Some (max (max (count ra - 1) (count rb - 1)) 0)
+          (a', b')
         end
-      in
-      let ra' =
-        step_side ~spec rng ra ~partner_propagating:b_propagating
-          ~partner_was_computing:b_was_computing ~joint_count
-      in
-      let rb' =
-        step_side ~spec rng rb ~partner_propagating:a_propagating
-          ~partner_was_computing:a_was_computing ~joint_count
-      in
-      (* Pairwise payload interaction (e.g. L,L → L,F) when both ends are
-         still Resetting after any awakening, matching Protocol 3's order. *)
-      match (ra', rb') with
-      | Resetting x, Resetting y ->
-          let px, py = spec.resetting_pair rng x.payload y.payload in
-          (Resetting { x with payload = px }, Resetting { y with payload = py })
-      | _ -> (ra', rb')
-    end
+        else begin
+          let pa = spec.dormant_tick rng pa in
+          let pb = entry_payload ~spec rng rb in
+          if wake_b then (resetting 0 da pa, Computing (spec.awaken rng pb))
+          else begin
+            let pb = spec.dormant_tick rng pb in
+            let pa, pb = spec.resetting_pair rng pa pb in
+            (resetting 0 da pa, resetting 0 db pb)
+          end
+        end
+      end
 
 let equal_role eq_c eq_p x y =
   match (x, y) with

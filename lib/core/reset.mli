@@ -57,7 +57,16 @@ val step :
   spec:('c, 'p) spec -> Prng.t -> ('c, 'p) role -> ('c, 'p) role -> ('c, 'p) role * ('c, 'p) role
 (** One interaction under Propagate-Reset. Callers must ensure at least one
     side is [Resetting]; a [Computing]/[Computing] pair is returned
-    unchanged (the outer protocol owns that case). *)
+    unchanged (the outer protocol owns that case).
+
+    The spec's closures run in a fixed order, which is part of the
+    contract because closures may draw from the generator (Sublinear-Time-SSR
+    draws name bits in [dormant_tick]): first side [a] —
+    [recruit_payload] if it is recruited, then one of [propagating_tick],
+    [awaken] or [dormant_tick] — then side [b] in the same way, then
+    [resetting_pair] if both sides are still Resetting. A side that takes
+    no part (a computing agent not recruited) calls nothing and is
+    returned as is. *)
 
 val equal_role : ('c -> 'c -> bool) -> ('p -> 'p -> bool) -> ('c, 'p) role -> ('c, 'p) role -> bool
 
