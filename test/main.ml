@@ -9,6 +9,7 @@ let () =
       ("pool", Test_pool.suite);
       ("cross_engine", Test_cross_engine.suite);
       ("chaos", Test_chaos.suite);
+      ("soak", Test_soak.suite);
       ("count_sim", Test_count_sim.suite);
       ("exact", Test_exact.suite);
       ("topology", Test_topology.suite);
