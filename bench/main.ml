@@ -1,18 +1,15 @@
-(* Benchmark harness.
+(* Benchmark harness: three timing tables that CI prints and checks.
 
-   Two layers, both in this executable:
+   - Bechamel micro-benchmarks of the simulator and protocol hot paths
+     (one Test.make per table/figure artifact), reporting wall-clock per
+     run ([--micro-only]).
+   - The compiled-kernel vs interpreted-transition delta table
+     ([--kernel-only]).
+   - The count engine's eager vs lazy closure delta table
+     ([--closure-only]).
 
-   1. The paper-shaped experiment tables (one section per table/figure/
-      claim of the paper, via the Experiments library, quick mode):
-      regenerates the rows of Table 1, the H-tradeoff (Table 1 row 4 /
-      Section 5.2), Figures 1-2, Observation 2.2, the Ω(n²) worst case,
-      Theorem 2.1's nonuniformity, Propagate-Reset and the probabilistic
-      toolbox. `main.exe <name>` runs a single section; `main.exe --full`
-      uses the full-size sweeps.
-
-   2. Bechamel micro-benchmarks of the simulator and protocol hot paths
-      (one Test.make per table/figure artifact), reporting wall-clock per
-      run. *)
+   With no argument all three run. The paper-shaped experiment tables are
+   [bin/experiments_main]'s. *)
 
 open Bechamel
 open Toolkit
@@ -184,42 +181,6 @@ let run_micro_benchmarks () =
       in
       Stats.Table.add_row table [ name; cell ])
     (List.sort compare rows);
-  Stats.Table.print table;
-  print_newline ()
-
-(* Engine-counter deltas printed next to the timings: one seeded
-   worst-case run of Silent-n-state-SSR on each engine, with the counters
-   both engines keep anyway (Engine.Exec.stats). Makes a throughput
-   regression attributable — e.g. null-skipping getting less effective
-   shows up here before it shows up in the micro-benchmark table. *)
-let run_metrics_section () =
-  print_endline "== Engine metrics (silent protocol, n=256, worst-case, seed 2024) ==\n";
-  let n = 256 in
-  let protocol = Core.Silent_n_state.protocol ~n in
-  let run kind =
-    let rng = Prng.create ~seed:2024 in
-    let init = Core.Scenarios.silent_worst_case ~n in
-    let exec = Engine.Exec.make ~kind ~protocol ~init ~rng () in
-    let t0 = Unix.gettimeofday () in
-    ignore
-      (Engine.Runner.run_to_stability ~task:Engine.Runner.Ranking
-         ~max_interactions:(Engine.Runner.default_horizon ~n ~expected_time:(float_of_int n))
-         ~confirm_interactions:(Engine.Runner.default_confirm ~n)
-         exec);
-    (Engine.Exec.stats exec, Unix.gettimeofday () -. t0)
-  in
-  let agent, agent_s = run Engine.Exec.Agent in
-  let count, count_s = run Engine.Exec.Count in
-  let names =
-    List.sort_uniq compare (List.map fst agent @ List.map fst count)
-  in
-  let cell stats name =
-    match List.assoc_opt name stats with Some v -> Printf.sprintf "%.0f" v | None -> "-"
-  in
-  let table = Stats.Table.create ~header:[ "metric"; "agent"; "count" ] in
-  List.iter (fun name -> Stats.Table.add_row table [ name; cell agent name; cell count name ]) names;
-  Stats.Table.add_row table
-    [ "wall clock (s)"; Printf.sprintf "%.3f" agent_s; Printf.sprintf "%.3f" count_s ];
   Stats.Table.print table;
   print_newline ()
 
@@ -399,69 +360,14 @@ let run_closure_section () =
   print_newline ()
 
 let () =
-  let args = Array.to_list Sys.argv |> List.tl in
-  (* --jobs N: domain-pool width for the experiment sections (identical
-     output for any value; micro-benchmarks are single-domain by nature). *)
-  let rec extract_jobs acc = function
-    | [] -> (None, List.rev acc)
-    | "--jobs" :: v :: rest -> (
-        match int_of_string_opt v with
-        | Some j when j >= 1 -> (Some j, List.rev_append acc rest)
-        | Some _ | None ->
-            Printf.eprintf "--jobs expects a positive integer (got %s)\n" v;
-            exit 2)
-    | [ "--jobs" ] ->
-        Printf.eprintf "--jobs expects a value\n";
-        exit 2
-    | a :: rest -> extract_jobs (a :: acc) rest
-  in
-  let jobs_opt, args = extract_jobs [] args in
-  let jobs = match jobs_opt with Some j -> j | None -> Engine.Pool.default_jobs () in
-  let full = List.mem "--full" args in
-  let micro_only = List.mem "--micro-only" args in
-  let kernel_only = List.mem "--kernel-only" args in
-  let closure_only = List.mem "--closure-only" args in
-  let names =
-    List.filter
-      (fun a ->
-        a <> "--full" && a <> "--micro-only" && a <> "--kernel-only" && a <> "--closure-only")
-      args
-  in
-  let mode = if full then Experiments.Exp_common.Full else Experiments.Exp_common.Quick in
-  let seed = 2024 in
-  if kernel_only then begin
-    run_kernel_section ();
-    exit 0
-  end;
-  if closure_only then begin
-    run_closure_section ();
-    exit 0
-  end;
-  if not micro_only then begin
-    let selected =
-      match names with
-      | [] -> Experiments.Report.all
-      | names ->
-          List.map
-            (fun n ->
-              match Experiments.Report.find n with
-              | Some e -> e
-              | None ->
-                  Printf.eprintf "unknown experiment '%s' (available: %s)\n" n
-                    (String.concat ", "
-                       (List.map (fun e -> e.Experiments.Report.name) Experiments.Report.all));
-                  exit 2)
-            names
-    in
-    List.iter
-      (fun e ->
-        print_string (e.Experiments.Report.run ~mode ~seed ~jobs);
-        print_newline ())
-      selected
-  end;
-  if names = [] then begin
-    run_micro_benchmarks ();
-    run_metrics_section ();
-    run_kernel_section ();
-    run_closure_section ()
-  end
+  match List.tl (Array.to_list Sys.argv) with
+  | [] ->
+      run_micro_benchmarks ();
+      run_kernel_section ();
+      run_closure_section ()
+  | [ "--micro-only" ] -> run_micro_benchmarks ()
+  | [ "--kernel-only" ] -> run_kernel_section ()
+  | [ "--closure-only" ] -> run_closure_section ()
+  | _ ->
+      prerr_endline "usage: main.exe [--micro-only | --kernel-only | --closure-only]";
+      exit 2

@@ -116,10 +116,11 @@ let pp_single_soak (r : Fleet.Run.t) (s : Chaos.Soak.report) =
   Printf.printf "fault bursts        : %d (%d absorbed, %d recovered, %d censored)\n"
     s.Chaos.Soak.bursts s.Chaos.Soak.absorbed s.Chaos.Soak.recoveries s.Chaos.Soak.sla.Chaos.Soak.censored;
   Printf.printf "correctness losses  : %d\n" s.Chaos.Soak.violations;
-  (match (Chaos.Soak.mean_recovery s, Chaos.Soak.p95_recovery s, Chaos.Soak.max_recovery s) with
-  | Some mean, Some p95, Some mx ->
-      Printf.printf "recovery time       : mean %.2f  p95 %.2f  max %.2f (time units)\n" mean p95 mx
-  | _ -> ());
+  if Array.length s.Chaos.Soak.recovery_times > 0 then begin
+    let t = Stats.Summary.of_array s.Chaos.Soak.recovery_times in
+    Printf.printf "recovery time       : mean %.2f  p95 %.2f  max %.2f (time units)\n"
+      t.Stats.Summary.mean t.Stats.Summary.p95 t.Stats.Summary.max
+  end;
   let sla = s.Chaos.Soak.sla in
   Printf.printf "SLA                 : budget %.2f time units — %s\n" (pt ~n sla.Chaos.Soak.budget)
     (if sla.Chaos.Soak.met then "MET"
@@ -363,8 +364,8 @@ let kernel_arg =
   let doc =
     "Transition kernel: interp (call the protocol's OCaml transition directly) or compiled \
      (compile the protocol through the IR pipeline to packed int codes with a memoized \
-     transition table; observables are identical, throughput is higher — see DESIGN.md \
-     \"Protocol IR\"). Deterministic protocols with a declared state space only."
+     transition table; observables are identical, but it is currently slower end to end — see \
+     EXPERIMENTS.md \"Experiment IR\"). Deterministic protocols with a declared state space only."
   in
   Arg.(value & opt string "interp" & info [ "kernel" ] ~docv:"KERNEL" ~doc)
 

@@ -100,7 +100,10 @@ let pop stream =
   | Some a ->
       let rec consume = function
         | [] -> assert false
-        | s :: rest -> if s.next = Some a then s.next <- s.advance () else consume rest
+        | s :: rest -> (
+            match s.next with
+            | Some b when Int.equal a b -> s.next <- s.advance ()
+            | Some _ | None -> consume rest)
       in
       consume stream;
       Some a

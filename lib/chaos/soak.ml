@@ -18,10 +18,6 @@ type report = {
 
 let default_budget ~n = 4 * Engine.Runner.default_confirm ~n
 
-(* Open burst: interaction of its last fault + whether correctness has
-   been lost since the burst began (Timeline's [broke]). *)
-type burst = { mutable last_fault_at : int; mutable broke : bool }
-
 let run (type a) ?sla_budget ?(task = Engine.Runner.Ranking) ~schedule ~adversary
     ~(random_state : Prng.t -> a) ~rng ~horizon (exec : a Engine.Exec.t) =
   if horizon < 1 then invalid_arg "Chaos.Soak.run: horizon must be >= 1";
@@ -38,54 +34,35 @@ let run (type a) ?sla_budget ?(task = Engine.Runner.Ranking) ~schedule ~adversar
   let horizon_abs = t0 + horizon in
   let clock = ref t0 in
   let correct = ref false in
-  let correct_interactions = ref 0 in
-  let violations = ref 0 in
   let firings = ref 0 in
   let faults_applied = ref 0 in
   let repins = ref 0 in
-  let bursts = ref 0 in
-  let absorbed = ref 0 in
-  let recoveries = ref 0 in
-  let recovery_interactions = ref [] in
-  let sla_misses = ref 0 in
-  let open_burst : burst option ref = ref None in
   let pins : a Adversary.pin list ref = ref [] in
+  (* The report is read off this run's own Timeline fold. *)
+  let timeline = Telemetry.Timeline.acc () in
   let time () = float_of_int !clock /. nf in
-  (* Correctness bookkeeping mirrors Runner: transitions are published on
-     the executor's event stream, so telemetry subscribers see the same
-     landmarks a stability run would produce. *)
+  (* One fault landmark per firing that hit and per re-pin. The executor
+     publishes its own [Fault] events, one per injection call, at the
+     same clock, so an events file folds into the same bursts. *)
+  let note_fault agents =
+    Telemetry.Timeline.feed timeline
+      (Engine.Instrument.Fault { agents; interactions = !clock; time = time () })
+  in
+  (* Correctness transitions are also published on the executor's event
+     stream, so telemetry subscribers see the same landmarks a stability
+     run would produce. *)
   let observe () =
     let now_correct = Engine.Runner.is_correct ~task exec in
-    if now_correct && not !correct then begin
-      correct := true;
-      (match !open_burst with
-      | Some b ->
-          (if b.broke then begin
-             let dt = !clock - b.last_fault_at in
-             incr recoveries;
-             recovery_interactions := dt :: !recovery_interactions;
-             if dt > budget then incr sla_misses
-           end
-           else incr absorbed);
-          open_burst := None
-      | None -> ());
-      Engine.Exec.emit exec
-        (Engine.Instrument.Correct_entered { interactions = !clock; time = time () })
+    if not (Bool.equal now_correct !correct) then begin
+      correct := now_correct;
+      let event =
+        if now_correct then
+          Engine.Instrument.Correct_entered { interactions = !clock; time = time () }
+        else Engine.Instrument.Correct_lost { interactions = !clock; time = time () }
+      in
+      Telemetry.Timeline.feed timeline event;
+      Engine.Exec.emit exec event
     end
-    else if (not now_correct) && !correct then begin
-      correct := false;
-      incr violations;
-      (match !open_burst with Some b -> b.broke <- true | None -> ());
-      Engine.Exec.emit exec
-        (Engine.Instrument.Correct_lost { interactions = !clock; time = time () })
-    end
-  in
-  let note_fault () =
-    match !open_burst with
-    | Some b -> b.last_fault_at <- !clock
-    | None ->
-        incr bursts;
-        open_burst := Some { last_fault_at = !clock; broke = false }
   in
   let fire () =
     incr firings;
@@ -96,7 +73,7 @@ let run (type a) ?sla_budget ?(task = Engine.Runner.Ranking) ~schedule ~adversar
           Adversary.apply ~rng:adversary_rng ~random_state ~now:!clock exec adversary)
     in
     faults_applied := !faults_applied + hit;
-    if hit > 0 then note_fault ();
+    if hit > 0 then note_fault hit;
     pins := !pins @ new_pins;
     observe ()
   in
@@ -125,7 +102,7 @@ let run (type a) ?sla_budget ?(task = Engine.Runner.Ranking) ~schedule ~adversar
               Engine.Exec.inject exec agent state;
               incr repins;
               incr faults_applied;
-              note_fault ()
+              note_fault 1
             end)
           !pins;
         observe ()
@@ -138,48 +115,40 @@ let run (type a) ?sla_budget ?(task = Engine.Runner.Ranking) ~schedule ~adversar
       | Some a when t0 + a < horizon_abs -> t0 + a
       | Some _ | None -> horizon_abs
     in
-    let before = !clock in
-    let was_correct = !correct in
     let (_ : bool) = Engine.Exec.advance exec ~until in
     clock := Engine.Exec.interactions exec;
-    (* The state during (before, clock) is the state observed at [before]
-       — on the count engine the skipped null interactions change
-       nothing, and the productive event lands exactly at [clock] — so
-       crediting the whole span with the prior status is exact on both
-       engines. *)
-    if was_correct then correct_interactions := !correct_interactions + (!clock - before);
     enforce_pins ();
     observe ();
     fire_due ()
   done;
-  let censored =
-    match !open_burst with
-    | Some b when b.broke -> 1
-    | Some _ ->
-        incr absorbed;
-        0
-    | None -> 0
+  Telemetry.Timeline.reach timeline ~interactions:!clock ~time:(time ());
+  let outcomes = List.map Telemetry.Timeline.outcome (Telemetry.Timeline.bursts timeline) in
+  let count p = List.length (List.filter p outcomes) in
+  (* Recoveries stay on the integer clock until divided by n below. *)
+  let recovered =
+    List.filter_map
+      (function Telemetry.Timeline.Recovered r -> Some r.interactions | _ -> None)
+      outcomes
   in
+  let censored = count (function Telemetry.Timeline.Censored -> true | _ -> false) in
+  let misses = List.length (List.filter (fun dt -> dt > budget) recovered) in
   let total = !clock - t0 in
-  let recovery_times =
-    Array.of_list (List.rev_map (fun dt -> float_of_int dt /. nf) !recovery_interactions)
-  in
-  let sla = { budget; misses = !sla_misses; censored; met = !sla_misses = 0 && censored = 0 } in
+  let correct_interactions = Telemetry.Timeline.correct_interactions timeline in
   let report =
     {
       horizon;
       total_interactions = total;
-      correct_interactions = !correct_interactions;
-      availability = float_of_int !correct_interactions /. float_of_int total;
+      correct_interactions;
+      availability = float_of_int correct_interactions /. float_of_int total;
       firings = !firings;
       faults_applied = !faults_applied;
       repins = !repins;
-      bursts = !bursts;
-      absorbed = !absorbed;
-      recoveries = !recoveries;
-      recovery_times;
-      violations = !violations;
-      sla;
+      bursts = List.length outcomes;
+      absorbed = count (function Telemetry.Timeline.Absorbed -> true | _ -> false);
+      recoveries = List.length recovered;
+      recovery_times = Array.of_list (List.map (fun dt -> float_of_int dt /. nf) recovered);
+      violations = Telemetry.Timeline.violations timeline;
+      sla = { budget; misses; censored; met = misses = 0 && censored = 0 };
     }
   in
   (match Telemetry.Metrics.ambient () with
@@ -195,14 +164,3 @@ let run (type a) ?sla_budget ?(task = Engine.Runner.Ranking) ~schedule ~adversar
       add "chaos.violations" report.violations;
       add "chaos.sla_misses" (report.sla.misses + report.sla.censored));
   report
-
-let mean_recovery r =
-  if Array.length r.recovery_times = 0 then None else Some (Stats.Summary.mean r.recovery_times)
-
-let p95_recovery r =
-  if Array.length r.recovery_times = 0 then None
-  else Some (Stats.Summary.quantile r.recovery_times 0.95)
-
-let max_recovery r =
-  if Array.length r.recovery_times = 0 then None
-  else Some (Array.fold_left Float.max neg_infinity r.recovery_times)

@@ -11,17 +11,16 @@
     interaction clock spent correct, plus per-burst recovery statistics
     and a verdict against a recovery SLA.
 
-    {b Bursts} follow the exact semantics of [Telemetry.Timeline]: a
-    maximal group of faults with no intervening re-entry into correctness
-    is one burst; a burst {e breaks} if correctness is lost before the
-    next re-entry, {e recovers} at that re-entry (recovery time measured
-    from the burst's last fault), is {e absorbed} if correctness never
-    broke, and is {e censored} if the horizon ends first. Folding the
-    run's events file with [bin/timeline] therefore reconstructs the same
-    story — the soak runner publishes every action on the executor's
-    [Instrument] stream ([Fault] from the injection surface,
-    [Correct_entered] / [Correct_lost] from its own observation loop),
-    so the telemetry pipeline sees soak runs for free.
+    {b Bursts} are computed by [Telemetry.Timeline]'s per-run fold: the
+    soak feeds it a [Fault] landmark per firing that overwrote an agent
+    and per re-pin, and every [Correct_entered] / [Correct_lost], then
+    reads bursts, {!Telemetry.Timeline.outcome}s, correctness losses and
+    correct interactions off it. A maximal group of faults with no
+    intervening re-entry into correctness is one burst; it is absorbed,
+    recovers (timed from its last fault, on the interaction clock) or is
+    censored by the horizon. The same landmarks reach the executor's
+    [Instrument] stream ([Fault] from the injection surface), so folding
+    the run's events file with [bin/timeline] gives the same bursts.
 
     {b Determinism.} The soak draws randomness only from [Prng.split]
     children of [rng] (one for the schedule, one for the adversary), taken
@@ -79,8 +78,3 @@ val run :
     [Ranking]; [sla_budget] (interactions, >= 1) defaults to
     {!default_budget}. Schedule arrivals are interpreted relative to the
     executor's clock at call time. *)
-
-val mean_recovery : report -> float option
-val p95_recovery : report -> float option
-val max_recovery : report -> float option
-(** Summary accessors over [recovery_times]; [None] without recoveries. *)

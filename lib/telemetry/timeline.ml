@@ -3,8 +3,10 @@ type burst = {
   agents : int;
   first_at : float;
   last_at : float;
+  last_interactions : int;
   broke : bool;
   recovered_at : float option;
+  recovered_interactions : int option;
 }
 
 type summary = {
@@ -22,7 +24,6 @@ type summary = {
 }
 
 type acc = {
-  a_run : Events.run;
   mutable a_events : int;
   mutable a_steps : int;
   mutable a_first_correct : float option;
@@ -37,24 +38,42 @@ type acc = {
   mutable a_open : burst option;  (* burst awaiting its Correct_entered *)
 }
 
-let close_burst acc recovered_at =
-  match acc.a_open with
-  | None -> ()
-  | Some b ->
-      acc.a_bursts <- { b with recovered_at } :: acc.a_bursts;
-      acc.a_open <- None
+let acc () =
+  {
+    a_events = 0;
+    a_steps = 0;
+    a_first_correct = None;
+    a_last_correct = None;
+    a_violations = 0;
+    a_silent = None;
+    a_end_time = 0.0;
+    a_end_interactions = 0;
+    a_correct_since = None;
+    a_correct_acc = 0;
+    a_bursts = [];
+    a_open = None;
+  }
+
+let reach acc ~interactions ~time =
+  acc.a_end_time <- Float.max acc.a_end_time time;
+  acc.a_end_interactions <- max acc.a_end_interactions interactions
 
 let feed acc (event : Engine.Instrument.event) =
   acc.a_events <- acc.a_events + 1;
-  acc.a_end_time <- Float.max acc.a_end_time (Engine.Instrument.time event);
-  acc.a_end_interactions <- max acc.a_end_interactions (Engine.Instrument.interactions event);
+  reach acc ~interactions:(Engine.Instrument.interactions event)
+    ~time:(Engine.Instrument.time event);
   match event with
   | Engine.Instrument.Step _ -> acc.a_steps <- acc.a_steps + 1
-  | Engine.Instrument.Correct_entered { time; interactions; _ } ->
-      if acc.a_first_correct = None then acc.a_first_correct <- Some time;
+  | Engine.Instrument.Correct_entered { time; interactions } ->
+      if Option.is_none acc.a_first_correct then acc.a_first_correct <- Some time;
       acc.a_last_correct <- Some time;
-      if acc.a_correct_since = None then acc.a_correct_since <- Some interactions;
-      close_burst acc (Some time)
+      if Option.is_none acc.a_correct_since then acc.a_correct_since <- Some interactions;
+      Option.iter
+        (fun b ->
+          let b = { b with recovered_at = Some time; recovered_interactions = Some interactions } in
+          acc.a_bursts <- b :: acc.a_bursts;
+          acc.a_open <- None)
+        acc.a_open
   | Engine.Instrument.Correct_lost { interactions; _ } ->
       acc.a_violations <- acc.a_violations + 1;
       (match acc.a_correct_since with
@@ -64,49 +83,53 @@ let feed acc (event : Engine.Instrument.event) =
       | None -> ());
       (match acc.a_open with Some b -> acc.a_open <- Some { b with broke = true } | None -> ())
   | Engine.Instrument.Silence { time; _ } -> acc.a_silent <- Some time
-  | Engine.Instrument.Fault { agents; time; _ } -> (
-      match acc.a_open with
-      | Some b ->
-          acc.a_open <-
-            Some { b with faults = b.faults + 1; agents = b.agents + agents; last_at = time }
-      | None ->
-          acc.a_open <-
-            Some
-              {
-                faults = 1;
-                agents;
-                first_at = time;
-                last_at = time;
-                broke = false;
-                recovered_at = None;
-              })
+  | Engine.Instrument.Fault { agents; time; interactions } ->
+      let b =
+        match acc.a_open with
+        | Some b -> { b with faults = b.faults + 1; agents = b.agents + agents }
+        | None ->
+            {
+              faults = 1;
+              agents;
+              first_at = time;
+              last_at = time;
+              last_interactions = interactions;
+              broke = false;
+              recovered_at = None;
+              recovered_interactions = None;
+            }
+      in
+      acc.a_open <- Some { b with last_at = time; last_interactions = interactions }
 
-(* Non-destructive: an open burst already carries [recovered_at = None],
-   so appending it unchanged is exactly [close_burst acc None] without
-   losing the ability to keep feeding (live snapshots). *)
-let summary_of_acc acc =
+let violations acc = acc.a_violations
+
+let correct_interactions acc =
+  acc.a_correct_acc
+  + match acc.a_correct_since with Some since -> acc.a_end_interactions - since | None -> 0
+
+(* Non-destructive (live snapshots): an open burst already reads as
+   unrecovered, [recovered_at = None]. *)
+let bursts acc =
+  List.rev (match acc.a_open with Some b -> b :: acc.a_bursts | None -> acc.a_bursts)
+
+let summary ~run acc =
   {
-    run = acc.a_run;
+    run;
     events = acc.a_events;
     steps = acc.a_steps;
     first_correct_at = acc.a_first_correct;
     last_correct_at = acc.a_last_correct;
-    violations = acc.a_violations;
+    violations = violations acc;
     silent_at = acc.a_silent;
     end_time = acc.a_end_time;
     end_interactions = acc.a_end_interactions;
-    correct_interactions =
-      (acc.a_correct_acc
-      + match acc.a_correct_since with
-        | Some since -> acc.a_end_interactions - since
-        | None -> 0);
-    bursts =
-      List.rev (match acc.a_open with Some b -> b :: acc.a_bursts | None -> acc.a_bursts);
+    correct_interactions = correct_interactions acc;
+    bursts = bursts acc;
   }
 
 type state = {
   table : (string, acc) Hashtbl.t;
-  mutable order : string list;  (* run ids, reversed first-appearance order *)
+  mutable order : Events.run list;  (* reversed first-appearance order *)
 }
 
 let state () = { table = Hashtbl.create 16; order = [] }
@@ -116,31 +139,17 @@ let push st ((run : Events.run), event) =
     match Hashtbl.find_opt st.table run.Events.id with
     | Some acc -> acc
     | None ->
-        let acc =
-          {
-            a_run = run;
-            a_events = 0;
-            a_steps = 0;
-            a_first_correct = None;
-            a_last_correct = None;
-            a_violations = 0;
-            a_silent = None;
-            a_end_time = 0.0;
-            a_end_interactions = 0;
-            a_correct_since = None;
-            a_correct_acc = 0;
-            a_bursts = [];
-            a_open = None;
-          }
-        in
+        let acc = acc () in
         Hashtbl.add st.table run.Events.id acc;
-        st.order <- run.Events.id :: st.order;
+        st.order <- run :: st.order;
         acc
   in
   feed acc event
 
 let snapshot st =
-  List.rev_map (fun id -> summary_of_acc (Hashtbl.find st.table id)) st.order
+  List.rev_map
+    (fun (run : Events.run) -> summary ~run (Hashtbl.find st.table run.Events.id))
+    st.order
 
 let fold events =
   let st = state () in
@@ -189,6 +198,15 @@ let load ic =
 let recovery_time b =
   match b.recovered_at with Some t -> Some (t -. b.last_at) | None -> None
 
+type outcome = Absorbed | Recovered of { time : float; interactions : int } | Censored
+
+let outcome b =
+  match (b.broke, b.recovered_at, b.recovered_interactions) with
+  | false, _, _ -> Absorbed
+  | true, Some t, Some i ->
+      Recovered { time = t -. b.last_at; interactions = i - b.last_interactions }
+  | true, _, _ -> Censored
+
 type sla = {
   sla_budget : float;
   broke : int;
@@ -201,12 +219,12 @@ let check_sla ~budget s =
   if not (budget > 0.0) then invalid_arg "Timeline.check_sla: budget must be > 0";
   let broke, misses, censored =
     List.fold_left
-      (fun (broke, misses, censored) (b : burst) ->
-        if not b.broke then (broke, misses, censored)
-        else
-          match recovery_time b with
-          | Some dt -> (broke + 1, (if dt > budget then misses + 1 else misses), censored)
-          | None -> (broke + 1, misses, censored + 1))
+      (fun (broke, misses, censored) b ->
+        match outcome b with
+        | Absorbed -> (broke, misses, censored)
+        | Recovered { time; _ } ->
+            (broke + 1, (if time > budget then misses + 1 else misses), censored)
+        | Censored -> (broke + 1, misses, censored + 1))
       (0, 0, 0) s.bursts
   in
   {
@@ -248,17 +266,16 @@ let pp_summary ?sla_budget fmt s =
           b.faults
           (if b.faults = 1 then "" else "s")
           b.last_at;
-        (if not b.broke then Format.fprintf fmt " — correctness held"
-         else
-           match recovery_time b with
-           | Some dt ->
-               Format.fprintf fmt " — re-correct at t=%.2f (recovery %.2f%s)"
-                 (Option.get b.recovered_at) dt
-                 (match sla_budget with
-                 | Some budget when dt > budget -> ", OVER SLA"
-                 | Some _ -> ", within SLA"
-                 | None -> "")
-           | None -> Format.fprintf fmt " — NOT recovered by end of stream");
+        (match outcome b with
+        | Absorbed -> Format.fprintf fmt " — correctness held"
+        | Recovered { time = dt; _ } ->
+            Format.fprintf fmt " — re-correct at t=%.2f (recovery %.2f%s)"
+              (Option.get b.recovered_at) dt
+              (match sla_budget with
+              | Some budget when dt > budget -> ", OVER SLA"
+              | Some _ -> ", within SLA"
+              | None -> "")
+        | Censored -> Format.fprintf fmt " — NOT recovered by end of stream");
         Format.pp_print_newline fmt ())
       s.bursts
   end;

@@ -12,17 +12,24 @@
     inject several faults back to back, and recovery is only meaningful
     once the stream re-enters correctness. A burst that is never followed
     by a [Correct_lost] did not break correctness (the protocol absorbed
-    it); one that is, recovers at the next [Correct_entered]. *)
+    it); one that is, recovers at the next [Correct_entered].
+
+    This fold is the only code that classifies bursts: [bin/timeline] and
+    the dashboards run it over an events file, and [Chaos.Soak] feeds it
+    the landmarks of a soak as they happen and reads its report off the
+    result. *)
 
 type burst = {
   faults : int;  (** [Fault] events in the burst *)
   agents : int;  (** total agents overwritten *)
   first_at : float;  (** parallel time of the first fault *)
   last_at : float;  (** …and of the last *)
+  last_interactions : int;  (** interaction clock of the last fault *)
   broke : bool;  (** a [Correct_lost] followed before recovery *)
   recovered_at : float option;
       (** time of the next [Correct_entered]; [None] if the stream ends
           first (only a failure if [broke]) *)
+  recovered_interactions : int option;  (** interaction clock of [recovered_at] *)
 }
 
 type summary = {
@@ -42,15 +49,35 @@ type summary = {
   bursts : burst list;  (** chronological *)
 }
 
+(** {2 Per-run fold}: one run's stream, fed an event at a time. The rest
+    of this module is built on it. *)
+
+type acc
+
+val acc : unit -> acc
+val feed : acc -> Engine.Instrument.event -> unit
+
+val reach : acc -> interactions:int -> time:float -> unit
+(** The clock got here with no event (a soak's horizon): moves the end
+    of stream forward, never back. *)
+
+val bursts : acc -> burst list
+val violations : acc -> int
+val correct_interactions : acc -> int
+
+val summary : run:Events.run -> acc -> summary
+(** Non-destructive, like the three readers above: more events may be
+    fed afterwards, and an open burst reads as [recovered_at = None]. *)
+
+(** {2 Many runs}
+
+    Events of different runs may interleave freely; summaries come in
+    first-appearance order of run ids, one {!acc} per run. The live
+    dashboard ([timeline --serve]) pushes events as they are tailed from
+    a growing file and snapshots summaries between polls; {!fold} is
+    [state]/[push]/[snapshot] run to completion. *)
+
 val fold : (Events.run * Engine.Instrument.event) list -> summary list
-(** Groups by run id (summaries in first-appearance order; events of
-    different runs may interleave freely). *)
-
-(** {2 Incremental folding}
-
-    The live dashboard ([timeline --serve]) feeds events as they are
-    tailed from a growing file and snapshots summaries between polls.
-    {!fold} is [state]/[push]/[snapshot] run to completion. *)
 
 type state
 
@@ -78,14 +105,21 @@ val recovery_time : burst -> float option
 (** [recovered_at - last_at], the time-to-correct the recovery tables
     report. *)
 
+(** The one burst classification. [Recovered] carries both recovery
+    times: [recovered_at - last_at], and the exact
+    [recovered_interactions - last_interactions]. *)
+type outcome = Absorbed | Recovered of { time : float; interactions : int } | Censored
+
+val outcome : burst -> outcome
+
 (** {2 Recovery SLAs}
 
     A recovery budget in parallel time units, checked against every burst
     that broke correctness: a recovery slower than the budget is a miss,
     and a broken burst the stream never recovers from (censored) also
     counts against the SLA. Soak runs ([Chaos.Soak], [ssr_sim --chaos])
-    apply the same rule on the interaction clock while the run executes;
-    this is the offline equivalent over an events file. *)
+    apply the same rule to the same {!outcome}s with a budget in
+    interactions; this is the equivalent in parallel time. *)
 
 type sla = {
   sla_budget : float;  (** parallel time units *)

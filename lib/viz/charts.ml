@@ -129,30 +129,27 @@ let recovery_samples ?(title = "Recovery time distribution") series_samples =
     ~y_label:"fraction recovered ≤ t" ~notes:(List.rev !notes) series
 
 let recovery_cdf ?title events =
-  let summaries = Telemetry.Timeline.fold events in
+  let module T = Telemetry.Timeline in
+  (* Broke bursts only: a run whose bursts were all absorbed gets no series. *)
   let samples =
     List.concat_map
-      (fun (s : Telemetry.Timeline.summary) ->
+      (fun (s : T.summary) ->
         List.filter_map
-          (fun (b : Telemetry.Timeline.burst) ->
-            if not b.Telemetry.Timeline.broke then None
-            else
-              match Telemetry.Timeline.recovery_time b with
-              | Some dt -> Some (run_label s.Telemetry.Timeline.run, `Recovered dt)
-              | None -> Some (run_label s.Telemetry.Timeline.run, `Censored))
-          s.Telemetry.Timeline.bursts)
-      summaries
+          (fun b ->
+            match T.outcome b with
+            | T.Absorbed -> None
+            | (T.Recovered _ | T.Censored) as o -> Some (run_label s.T.run, o))
+          s.T.bursts)
+      (T.fold events)
   in
-  let groups = group_by fst samples in
   let series_samples =
     List.map
       (fun (label, samples) ->
+        let outcomes = List.map snd samples in
         ( label,
-          List.filter_map
-            (fun (_, r) -> match r with `Recovered dt -> Some dt | `Censored -> None)
-            samples,
-          List.length (List.filter (fun (_, r) -> r = `Censored) samples) ))
-      groups
+          List.filter_map (function T.Recovered { time; _ } -> Some time | _ -> None) outcomes,
+          List.length (List.filter (function T.Censored -> true | _ -> false) outcomes) ))
+      (group_by fst samples)
   in
   recovery_samples ?title series_samples
 

@@ -39,12 +39,12 @@ let run_json (s : T.summary) =
 
 let snapshot_json ?(dropped = 0) ~path summaries =
   let sum f = List.fold_left (fun acc s -> acc + f s) 0 summaries in
-  let bursts = List.concat_map (fun s -> s.T.bursts) summaries in
-  let broke = List.filter (fun (b : T.burst) -> b.T.broke) bursts in
+  let outcomes = List.concat_map (fun s -> List.map T.outcome s.T.bursts) summaries in
+  let count p = List.length (List.filter p outcomes) in
   let recovery_times =
-    List.sort compare (List.filter_map T.recovery_time broke)
+    List.filter_map (function T.Recovered { time; _ } -> Some time | _ -> None) outcomes
+    |> List.sort compare
   in
-  let censored = List.length (List.filter (fun b -> b.T.recovered_at = None) broke) in
   let end_time = List.fold_left (fun acc s -> Float.max acc s.T.end_time) 0.0 summaries in
   J.Obj
     [
@@ -60,10 +60,10 @@ let snapshot_json ?(dropped = 0) ~path summaries =
             ("violations", J.Int (sum (fun s -> s.T.violations)));
             ("availability", J.Float (Charts.mean_availability summaries));
             ("end_time", J.Float end_time);
-            ("bursts", J.Int (List.length bursts));
-            ("broke", J.Int (List.length broke));
+            ("bursts", J.Int (List.length outcomes));
+            ("broke", J.Int (count (function T.Absorbed -> false | _ -> true)));
             ("recovered", J.Int (List.length recovery_times));
-            ("censored", J.Int censored);
+            ("censored", J.Int (count (function T.Censored -> true | _ -> false)));
           ] );
       ("runs", J.List (List.map run_json summaries));
       ("recovery_times", J.List (List.map (fun t -> J.Float t) recovery_times));
